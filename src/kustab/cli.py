@@ -81,17 +81,221 @@ def default_collection(x: VarietyDesc) -> list[ChernVector]:
 
 
 def _collection(args, x) -> semiorth.Collection:
-    tokens = getattr(args, "members", None)
-    if tokens:
-        members = [parse_class(t, x) for t in tokens]
+    if args.members:
+        members = [parse_class(t, x) for t in args.members]
     else:
         members = default_collection(x)
     return semiorth.Collection(variety=x, members=tuple(members))
 
 
 def _tilt_params(args) -> tilt.TiltParams:
-    return tilt.TiltParams(alpha=args.alpha, beta=args.beta,
-                           mu=getattr(args, "mu", Fraction(0)))
+    return tilt.TiltParams(alpha=args.alpha, beta=args.beta, mu=args.mu)
+
+
+def _chi(args, x):
+    v = parse_class(args.lhs, x)
+    w = parse_class(args.rhs, x)
+    return {"lhs": v, "rhs": w, "chi": euler_pairing(x, v, w)}, []
+
+
+def _gram(args, x):
+    g = gram_matrix(x, args.convention)
+    return {"convention": args.convention,
+            "matrix": [list(g.row(i)) for i in range(g.rows)]}, \
+        ["entry (i, j) is chi(H^i, H^j)"
+         + ("" if args.convention == "chi" else " divided by the degree")]
+
+
+def _orth(args, x):
+    c = _collection(args, x)
+    basis = semiorth.right_orthogonal(x, c)
+    return {"collection": list(c.members), "rank": len(basis),
+            "basis": basis}, \
+        ["basis rows are primitive and in Hermite normal form"]
+
+
+def _project(args, x):
+    c = _collection(args, x)
+    v = parse_class(args.target, x)
+    proj = semiorth.sod_project(x, c, v)
+    return {"target": v, "collection": list(c.members),
+            "projection": proj}, \
+        ["projection is chi-orthogonal to every collection member"]
+
+
+def _classify(args, x):
+    c = _collection(args, x)
+    v = parse_class(args.target, x)
+    rep = semiorth.classify_class(x, c, v)
+    eig = {1: "+1", -1: "-1", None: "none"}[rep.serre_eigenvalue]
+    return {"target": v, "chi_self": rep.chi_self,
+            "serre_eigenvalue": eig, "labels": rep.labels}, []
+
+
+def _serre(args, x):
+    s = serre_numeric(x)
+    return {"matrix": [list(s.row(i)) for i in range(s.rows)]}, \
+        ["equals the matrix of v -> (-1)^n * v * e^(-index H)"]
+
+
+def _zh(args, x):
+    v = parse_class(args.target, x)
+    z = tilt.charge_h(x, v)
+    return {"target": v, "re": z.re, "im": z.im,
+            "slope": str(tilt.slope_h(x, v))}, []
+
+
+def _ztilt(args, x):
+    v = parse_class(args.target, x)
+    p = _tilt_params(args)
+    z = tilt.charge_tilt(x, v, args.shift, p)
+    return {"target": v, "alpha": p.alpha, "beta": p.beta,
+            "shift": args.shift, "re": z.re, "im": z.im,
+            "slope": str(tilt.slope_tilt(x, v, p))}, []
+
+
+def _heart(args, x):
+    v = parse_class(args.target, x)
+    verdict = tilt.heart_case(x, v, args.shift, _tilt_params(args))
+    checks = [{"name": c.name, "value": str(c.value),
+               "threshold": c.threshold, "satisfied": c.satisfied}
+              for c in verdict.slope_checks]
+    return {"target": v, "shift": args.shift,
+            "case": verdict.case_id if verdict.in_heart else "not-in-heart",
+            "checks": checks}, []
+
+
+def _blms(args, x):
+    c = _collection(args, x)
+    p = _tilt_params(args)
+    rep = tilt.blms_check(x, c.members, p)
+    items = [{"condition": i.condition, "label": i.label,
+              "passed": i.passed, "detail": i.detail} for i in rep.items]
+    return {"collection": list(c.members), "alpha": p.alpha,
+            "beta": p.beta, "verdict": "PASS" if rep.passed else "FAIL",
+            "items": items}, []
+
+
+def _alpha_range(args, x):
+    c = _collection(args, x)
+    intervals = tilt.alpha_range(x, c.members, args.beta)
+    return {"collection": list(c.members), "beta": args.beta,
+            "intervals": [{"text": i.text(), "lo": i.lo, "hi": i.hi,
+                           "lo_open": i.lo_open, "hi_open": i.hi_open}
+                          for i in intervals]}, []
+
+
+def _beta0(args, x):
+    v = parse_class(args.target, x, truncated=True)
+    bz = walls.beta_zero(x, v)
+    return {"target": v, "F": bz.F, "beta0": bz.beta0, "bound": bz.bound}, []
+
+
+def _nowall(args, x):
+    v = parse_class(args.target, x, truncated=True)
+    bz = walls.beta_zero(x, v)
+    cert = walls.nowall_certificate(x, v)
+    if cert is not None:
+        return {"target": v, "certificate": True,
+                "beta0": bz.beta0, "interval": f"(0, {bz.bound})",
+                "step": cert.lattice_step,
+                "conclusion": cert.conclusion}, []
+    violation = walls.first_interval_violation(x, v)
+    payload = {"target": v, "certificate": False, "beta0": bz.beta0,
+               "interval": f"(0, {bz.bound})"}
+    if violation is not None:
+        c0w, c1w, value = violation
+        payload["violation"] = {"c0": c0w, "c1": c1w, "value": value}
+    return payload, ["no gcd obstruction; candidate values meet the interval"]
+
+
+def _walls(args, x):
+    v = parse_class(args.target, x, truncated=True)
+    found = walls.wall_scan(x, v, args.max_rank, args.max_c1)
+    return {"target": v,
+            "bounds": {"max_rank": args.max_rank, "max_c1": args.max_c1},
+            "count": len(found),
+            "walls": [{"kind": w.kind, "center": w.center_beta,
+                       "radius_sq": w.radius_sq,
+                       "witnesses": list(w.witnesses)} for w in found]}, \
+        ["candidate numerical walls; only a certificate is definitive"]
+
+
+def _svg(args, x):
+    v = parse_class(args.target, x, truncated=True)
+    found = walls.wall_scan(x, v, args.max_rank, args.max_c1)
+    doc = render_walls_svg(found, {
+        "beta_min": args.beta_min, "beta_max": args.beta_max,
+        "alpha_max": args.alpha_max})
+    return {"target": v, "count": len(found), "out": args.out}, [], doc
+
+
+def _fullness(args, x):
+    c = _collection(args, x)
+    gens = [parse_class(t, x) for t in args.gen]
+    verdict = semiorth.fullness_report(x, c, gens, args.stability_assumed)
+    return {"collection": list(c.members), "generators": gens,
+            "collection_rank": verdict.collection_rank,
+            "residual_rank": verdict.residual_rank,
+            "total_rank": verdict.total_rank,
+            "stability_assumed": verdict.stability_assumed,
+            "checks": [{"name": n, "passed": ok} for n, ok in verdict.checks],
+            "verdict": verdict.verdict}, []
+
+
+# subcommand -> (help, argument names, handler); a handler returns
+# (payload, notes), and svg also returns the document it rendered
+_COMMANDS = {
+    "chi": ("Euler pairing of two classes", ("lhs", "rhs"), _chi),
+    "gram": ("Euler pairing matrix on 1, H, ..., H^n", ("--convention",),
+             _gram),
+    "orth": ("basis of the right orthogonal lattice", ("members",), _orth),
+    "project": ("project a class onto the residual lattice",
+                ("target", "members"), _project),
+    "classify": ("labels of a residual class", ("target", "members"),
+                 _classify),
+    "serre": ("numerical Serre action matrix", (), _serre),
+    "zh": ("weak charge Z_H and slope", ("target",), _zh),
+    "ztilt": ("tilt charge and slope",
+              ("target", "--alpha", "--beta", "--mu", "--shift"), _ztilt),
+    "heart": ("double-tilt heart membership case",
+              ("target", "--alpha", "--beta", "--mu", "--shift"), _heart),
+    "blms": ("induced stability checklist",
+             ("members", "--alpha", "--beta", "--mu"), _blms),
+    "alpha-range": ("exact alpha interval of the checklist",
+                    ("members", "--beta"), _alpha_range),
+    "beta0": ("discriminant line of a truncated class", ("target",), _beta0),
+    "nowall": ("no-wall certificate for a truncated class", ("target",),
+               _nowall),
+    "walls": ("bounded scan for candidate walls",
+              ("target", "--max-rank", "--max-c1"), _walls),
+    "svg": ("render the wall scan as SVG",
+            ("target", "--max-rank", "--max-c1", "--beta-min", "--beta-max",
+             "--alpha-max"), _svg),
+    "fullness": ("fullness checklist verdict",
+                 ("members", "--gen", "--stability-assumed"), _fullness),
+}
+
+
+# every argument is declared once; subcommands list the ones they take
+_ARGUMENTS = {
+    "lhs": {}, "rhs": {}, "target": {},
+    "members": dict(nargs="*"),
+    "--convention": dict(choices=("chi", "paper"), default="chi"),
+    "--alpha": dict(type=Fraction, required=True),
+    "--beta": dict(type=Fraction, required=True),
+    "--mu": dict(type=Fraction, default=Fraction(0)),
+    "--shift": dict(type=int, default=0),
+    "--max-rank": dict(type=Fraction, default=Fraction(3)),
+    "--max-c1": dict(type=Fraction, default=Fraction(3)),
+    "--beta-min": dict(type=Fraction, default=Fraction(-4)),
+    "--beta-max": dict(type=Fraction, default=Fraction(2)),
+    "--alpha-max": dict(type=Fraction, default=Fraction(3)),
+    "--gen": dict(action="append", default=[],
+                  help="residual generator token (repeatable)"),
+    "--stability-assumed": dict(action=argparse.BooleanOptionalAction,
+                                default=False),
+}
 
 
 def build_parser() -> _Parser:
@@ -103,215 +307,21 @@ def build_parser() -> _Parser:
     common.add_argument("--out", help="write output to a file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
-
-    def add_parser(name, help):
-        return sub.add_parser(name, help=help, parents=[common])
-
-    sp = add_parser("chi", help="Euler pairing of two classes")
-    sp.add_argument("lhs")
-    sp.add_argument("rhs")
-
-    sp = add_parser("gram", help="Euler pairing matrix on 1, H, ..., H^n")
-    sp.add_argument("--convention", choices=("chi", "paper"), default="chi")
-
-    sp = add_parser("orth", help="basis of the right orthogonal lattice")
-    sp.add_argument("members", nargs="*")
-
-    sp = add_parser("project", help="project a class onto the residual lattice")
-    sp.add_argument("target")
-    sp.add_argument("members", nargs="*")
-
-    sp = add_parser("classify", help="labels of a residual class")
-    sp.add_argument("target")
-    sp.add_argument("members", nargs="*")
-
-    add_parser("serre", help="numerical Serre action matrix")
-
-    sp = add_parser("zh", help="weak charge Z_H and slope")
-    sp.add_argument("target")
-
-    sp = add_parser("ztilt", help="tilt charge and slope")
-    sp.add_argument("target")
-    sp.add_argument("--alpha", type=Fraction, required=True)
-    sp.add_argument("--beta", type=Fraction, required=True)
-    sp.add_argument("--mu", type=Fraction, default=Fraction(0))
-    sp.add_argument("--shift", type=int, default=0)
-
-    sp = add_parser("heart", help="double-tilt heart membership case")
-    sp.add_argument("target")
-    sp.add_argument("--alpha", type=Fraction, required=True)
-    sp.add_argument("--beta", type=Fraction, required=True)
-    sp.add_argument("--mu", type=Fraction, default=Fraction(0))
-    sp.add_argument("--shift", type=int, default=0)
-
-    sp = add_parser("blms", help="induced stability checklist")
-    sp.add_argument("members", nargs="*")
-    sp.add_argument("--alpha", type=Fraction, required=True)
-    sp.add_argument("--beta", type=Fraction, required=True)
-    sp.add_argument("--mu", type=Fraction, default=Fraction(0))
-
-    sp = add_parser("alpha-range", help="exact alpha interval of the checklist")
-    sp.add_argument("members", nargs="*")
-    sp.add_argument("--beta", type=Fraction, required=True)
-
-    sp = add_parser("beta0", help="discriminant line of a truncated class")
-    sp.add_argument("target")
-
-    sp = add_parser("nowall", help="no-wall certificate for a truncated class")
-    sp.add_argument("target")
-
-    sp = add_parser("walls", help="bounded scan for candidate walls")
-    sp.add_argument("target")
-    sp.add_argument("--max-rank", type=Fraction, default=Fraction(3))
-    sp.add_argument("--max-c1", type=Fraction, default=Fraction(3))
-
-    sp = add_parser("svg", help="render the wall scan as SVG")
-    sp.add_argument("target")
-    sp.add_argument("--max-rank", type=Fraction, default=Fraction(3))
-    sp.add_argument("--max-c1", type=Fraction, default=Fraction(3))
-    sp.add_argument("--beta-min", type=Fraction, default=Fraction(-4))
-    sp.add_argument("--beta-max", type=Fraction, default=Fraction(2))
-    sp.add_argument("--alpha-max", type=Fraction, default=Fraction(3))
-
-    sp = add_parser("fullness", help="fullness checklist verdict")
-    sp.add_argument("members", nargs="*")
-    sp.add_argument("--gen", action="append", default=[],
-                    help="residual generator token (repeatable)")
-    sp.add_argument("--stability-assumed",
-                    action=argparse.BooleanOptionalAction, default=False)
-
+    for name, (summary, arguments, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary, parents=[common])
+        for arg in arguments:
+            sp.add_argument(arg, **_ARGUMENTS[arg])
     return p
 
 
-def _slope_str(s: tilt.ExtSlope) -> str:
-    return str(s)
-
-
-def _handle(args, x: VarietyDesc):
-    """Dispatch to the library; returns (payload, notes)."""
-    cmd = args.command
-    if cmd == "chi":
-        v = parse_class(args.lhs, x)
-        w = parse_class(args.rhs, x)
-        return {"lhs": v, "rhs": w, "chi": euler_pairing(x, v, w)}, []
-    if cmd == "gram":
-        g = gram_matrix(x, args.convention)
-        return {"convention": args.convention,
-                "matrix": [list(g.row(i)) for i in range(g.rows)]}, \
-            ["entry (i, j) is chi(H^i, H^j)"
-             + ("" if args.convention == "chi" else " divided by the degree")]
-    if cmd == "orth":
-        c = _collection(args, x)
-        basis = semiorth.right_orthogonal(x, c)
-        return {"collection": list(c.members), "rank": len(basis),
-                "basis": basis}, \
-            ["basis rows are primitive and in Hermite normal form"]
-    if cmd == "project":
-        c = _collection(args, x)
-        v = parse_class(args.target, x)
-        proj = semiorth.sod_project(x, c, v)
-        return {"target": v, "collection": list(c.members),
-                "projection": proj}, \
-            ["projection is chi-orthogonal to every collection member"]
-    if cmd == "classify":
-        c = _collection(args, x)
-        v = parse_class(args.target, x)
-        rep = semiorth.classify_class(x, c, v)
-        eig = {1: "+1", -1: "-1", None: "none"}[rep.serre_eigenvalue]
-        return {"target": v, "chi_self": rep.chi_self,
-                "serre_eigenvalue": eig, "labels": rep.labels}, []
-    if cmd == "serre":
-        s = serre_numeric(x)
-        return {"matrix": [list(s.row(i)) for i in range(s.rows)]}, \
-            ["equals the matrix of v -> (-1)^n * v * e^(-index H)"]
-    if cmd == "zh":
-        v = parse_class(args.target, x)
-        z = tilt.charge_h(x, v)
-        return {"target": v, "re": z.re, "im": z.im,
-                "slope": _slope_str(tilt.slope_h(x, v))}, []
-    if cmd == "ztilt":
-        v = parse_class(args.target, x)
-        p = _tilt_params(args)
-        z = tilt.charge_tilt(x, v, args.shift, p)
-        return {"target": v, "alpha": p.alpha, "beta": p.beta,
-                "shift": args.shift, "re": z.re, "im": z.im,
-                "slope": _slope_str(tilt.slope_tilt(x, v, p))}, []
-    if cmd == "heart":
-        v = parse_class(args.target, x)
-        p = _tilt_params(args)
-        verdict = tilt.heart_case(x, v, args.shift, p)
-        checks = [{"name": c.name, "value": _slope_str(c.value),
-                   "threshold": c.threshold, "satisfied": c.satisfied}
-                  for c in verdict.slope_checks]
-        return {"target": v, "shift": args.shift,
-                "case": verdict.case_id if verdict.in_heart else "not-in-heart",
-                "checks": checks}, []
-    if cmd == "blms":
-        c = _collection(args, x)
-        p = _tilt_params(args)
-        rep = tilt.blms_check(x, c.members, p)
-        items = [{"condition": i.condition, "label": i.label,
-                  "passed": i.passed, "detail": i.detail} for i in rep.items]
-        return {"collection": list(c.members), "alpha": p.alpha,
-                "beta": p.beta, "verdict": "PASS" if rep.passed else "FAIL",
-                "items": items}, []
-    if cmd == "alpha-range":
-        c = _collection(args, x)
-        intervals = tilt.alpha_range(x, c.members, args.beta)
-        return {"collection": list(c.members), "beta": rat(args.beta),
-                "intervals": [{"text": i.text(), "lo": i.lo, "hi": i.hi,
-                               "lo_open": i.lo_open, "hi_open": i.hi_open}
-                              for i in intervals]}, []
-    if cmd == "beta0":
-        v = parse_class(args.target, x, truncated=True)
-        bz = walls.beta_zero(x, v)
-        return {"target": v, "F": bz.F, "beta0": bz.beta0,
-                "bound": bz.bound}, []
-    if cmd == "nowall":
-        v = parse_class(args.target, x, truncated=True)
-        bz = walls.beta_zero(x, v)
-        cert = walls.nowall_certificate(x, v)
-        if cert is not None:
-            return {"target": v, "certificate": True,
-                    "beta0": bz.beta0, "interval": f"(0, {to_text_value(bz.bound)})",
-                    "step": cert.lattice_step,
-                    "conclusion": cert.conclusion}, []
-        violation = walls.first_interval_violation(x, v)
-        payload = {"target": v, "certificate": False, "beta0": bz.beta0,
-                   "interval": f"(0, {to_text_value(bz.bound)})"}
-        if violation is not None:
-            c0w, c1w, value = violation
-            payload["violation"] = {"c0": c0w, "c1": c1w, "value": value}
-        return payload, ["no gcd obstruction; candidate values meet the interval"]
-    if cmd == "walls":
-        v = parse_class(args.target, x, truncated=True)
-        found = walls.wall_scan(x, v, args.max_rank, args.max_c1)
-        return {"target": v,
-                "bounds": {"max_rank": rat(args.max_rank),
-                           "max_c1": rat(args.max_c1)},
-                "count": len(found),
-                "walls": [{"kind": w.kind, "center": w.center_beta,
-                           "radius_sq": w.radius_sq,
-                           "witnesses": list(w.witnesses)} for w in found]}, \
-            ["candidate numerical walls; only a certificate is definitive"]
-    if cmd == "fullness":
-        c = _collection(args, x)
-        gens = [parse_class(t, x) for t in args.gen]
-        verdict = semiorth.fullness_report(x, c, gens, args.stability_assumed)
-        return {"collection": list(c.members), "generators": gens,
-                "collection_rank": verdict.collection_rank,
-                "residual_rank": verdict.residual_rank,
-                "total_rank": verdict.total_rank,
-                "stability_assumed": verdict.stability_assumed,
-                "checks": [{"name": n, "passed": ok} for n, ok in verdict.checks],
-                "verdict": verdict.verdict}, []
-    raise ParseError(f"unknown subcommand {cmd!r}")
-
-
-def _render_text(command, variety, payload, notes) -> str:
-    lines = [f"command: {command}", f"variety: {variety}"]
-    for key, value in payload.items():
-        lines.append(f"{key}: {to_text_value(value)}")
+def _render(args, variety: str, payload: dict, notes: list) -> str:
+    """The report envelope, as sorted-key JSON or as text lines."""
+    if args.json:
+        doc = {"command": args.command, "variety": variety,
+               "result": to_jsonable(payload), "notes": notes}
+        return json.dumps(doc, sort_keys=True) + "\n"
+    lines = [f"command: {args.command}", f"variety: {variety}"]
+    lines.extend(f"{key}: {to_text_value(value)}" for key, value in payload.items())
     lines.extend(f"note: {n}" for n in notes)
     return "\n".join(lines) + "\n"
 
@@ -326,36 +336,20 @@ def run(argv: list[str]) -> int:
         if name not in table:
             raise DomainError(f"unknown variety: {name}")
         x = table[name]
-        if args.command == "svg":
-            v = parse_class(args.target, x, truncated=True)
-            found = walls.wall_scan(x, v, args.max_rank, args.max_c1)
-            doc = render_walls_svg(found, {
-                "beta_min": args.beta_min, "beta_max": args.beta_max,
-                "alpha_max": args.alpha_max})
-            if args.out:
-                with open(args.out, "wb") as fh:
-                    fh.write(doc)
-                payload = {"target": v, "count": len(found), "out": args.out}
-                text = _render_text("svg", x.name, payload, [])
-                sys.stdout.write(json.dumps(
-                    {"command": "svg", "variety": x.name,
-                     "result": to_jsonable(payload), "notes": []},
-                    sort_keys=True) + "\n" if args.json else text)
-            else:
-                sys.stdout.write(doc.decode("utf-8"))
-            return 0
-        payload, notes = _handle(args, x)
-        if args.json:
-            doc = {"command": args.command, "variety": x.name,
-                   "result": to_jsonable(payload), "notes": notes}
-            out = json.dumps(doc, sort_keys=True) + "\n"
+        payload, notes, *document = _COMMANDS[args.command][2](args, x)
+        report = _render(args, x.name, payload, notes)
+        # the output is the report, or the rendered document with the report
+        # as its summary on stdout when the document goes to a file
+        if document:
+            out, summary = document[0], report
         else:
-            out = _render_text(args.command, x.name, payload, notes)
+            out, summary = report.encode("utf-8"), ""
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "wb") as fh:
                 fh.write(out)
+            sys.stdout.write(summary)
         else:
-            sys.stdout.write(out)
+            sys.stdout.write(out.decode("utf-8"))
         return 0
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -2,7 +2,7 @@
 
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 real quadratic numbers a + b*sqrt(F) carry their radicand symbolically, and
-matrix kernels are computed by fraction-free row reduction.  No floating
+kernels are computed over the integers by unimodular reduction.  No floating
 point enters any decision path; approximations exist only to seed exact
 integer floor computations, and every seeded guess is verified exactly.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 class DomainError(ValueError):
@@ -199,6 +199,20 @@ class QuadNumber:
             n -= 1
         return n
 
+    def __str__(self):
+        """Report text: "a", "sqrt(F)", "-2*sqrt(F)", "1/2 - sqrt(F)", ...
+
+        >>> str(QuadNumber(Fraction(1, 2), -1, 2))
+        '1/2 - sqrt(2)'
+        """
+        if self.b == 0:
+            return str(self.a)
+        mag = "" if abs(self.b) == 1 else f"{abs(self.b)}*"
+        rad = f"{mag}sqrt({self.F})"
+        if self.a == 0:
+            return rad if self.b > 0 else f"-{rad}"
+        return f"{self.a} {'+' if self.b > 0 else '-'} {rad}"
+
     def __repr__(self):
         if self.b == 0:
             return f"QuadNumber({self.a})"
@@ -309,49 +323,48 @@ class RatMatrix:
         return RatMatrix.from_rows([r[n:] for r in red])
 
     def solve(self, rhs) -> tuple[Fraction, ...]:
-        """Solve self @ x = rhs for square nonsingular self."""
-        return self.inverse().apply(rhs)
+        """The unique x with self @ x = rhs, by rref of the augmented matrix.
+
+        Accepts square nonsingular systems and consistent tall systems of
+        full column rank; anything else raises DomainError.
+        """
+        b = [rat(y) for y in rhs]
+        if len(b) != self.rows:
+            raise DomainError("dimension mismatch")
+        k = self.cols
+        red, pivots = RatMatrix.from_rows(
+            [list(r) + [y] for r, y in zip(self.entries, b)]).rref()
+        if pivots != list(range(k)):
+            raise DomainError("no unique solution")
+        return tuple(red[i][k] for i in range(k))
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the null space of a rational matrix.
+    """Z-basis of the integer points of the null space of a rational matrix.
 
-    Vectors come from the reduced row echelon form, one per free column in
-    ascending order, each rescaled to a primitive integer vector with a
-    positive first nonzero entry so output is reproducible.
+    Each row is scaled to a primitive integer row (the null space does not
+    change), the integer kernel is taken by unimodular column reduction and
+    put in row Hermite normal form, so output is reproducible.
+
+    >>> [tuple(map(int, k)) for k in kernel_basis(RatMatrix.from_rows([[2, 1, 1]]))]
+    [(1, 0, -2), (0, 1, -1)]
     """
     if m.cols == 0:
         return []
-    if m.rows == 0:
-        red, pivots = [], []
-    else:
-        red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(_primitive(v))
-    return basis
+    kernel = int_kernel([_primitive_ints(r) for r in m.entries])
+    return [tuple(Fraction(c) for c in r) for r in hnf_rows(kernel)]
 
 
-def _primitive(v) -> tuple[Fraction, ...]:
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x))
+def _primitive_ints(v) -> list[int]:
+    # clear denominators, divide by the content, make the leading entry positive
+    scale = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    content = gcd(*ints)
     if content == 0:
-        return tuple(Fraction(0) for _ in v)
-    ints = [x // content for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+        return ints
+    if next(x for x in ints if x) < 0:
+        content = -content
+    return [x // content for x in ints]
 
 
 def lattice_primitive(v, denoms) -> tuple[int, ...]:
@@ -371,19 +384,7 @@ def lattice_primitive(v, denoms) -> tuple[int, ...]:
         raise DomainError("zero class")
     if any(d <= 0 or int(d) != d for d in denoms):
         raise DomainError("denominators must be positive integers")
-    scaled = [x * int(d) for x, d in zip(v, denoms)]
-    denom_lcm = 1
-    for x in scaled:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in scaled]
-    content = 0
-    for x in ints:
-        content = gcd(content, abs(x))
-    ints = [x // content for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return tuple(_primitive_ints([x * int(d) for x, d in zip(v, denoms)]))
 
 
 # -- integer lattice helpers --------------------------------------------------

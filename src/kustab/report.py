@@ -14,28 +14,8 @@ from .exact import QuadNumber
 from .variety import ChernVector
 
 
-def fmt_rat_text(q: Fraction) -> str:
-    return str(q)
-
-
 def fmt_rat_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def fmt_quad_text(q: QuadNumber) -> str:
-    if q.is_rational:
-        return fmt_rat_text(q.a)
-    if q.b == 1:
-        rad = f"sqrt({fmt_rat_text(q.F)})"
-    elif q.b == -1:
-        rad = f"-sqrt({fmt_rat_text(q.F)})"
-    else:
-        rad = f"{fmt_rat_text(q.b)}*sqrt({fmt_rat_text(q.F)})"
-    if q.a == 0:
-        return rad
-    sign = "+" if (q.b > 0) else "-"
-    mag = rad if q.b > 0 else (rad[1:] if rad.startswith("-") else rad)
-    return f"{fmt_rat_text(q.a)} {sign} {mag}"
 
 
 def to_jsonable(obj):
@@ -62,11 +42,13 @@ def to_jsonable(obj):
 
 
 def to_text_value(obj) -> str:
-    """Human-oriented rendering of a payload value."""
-    if isinstance(obj, Fraction):
-        return fmt_rat_text(obj)
-    if isinstance(obj, QuadNumber):
-        return fmt_quad_text(obj)
+    """Human-oriented rendering of a payload value.
+
+    Rationals and quadratic numbers print as their str(), without "/1".
+
+    >>> to_text_value({"F": Fraction(2), "beta0": QuadNumber(0, -1, 2)})
+    '{F=2, beta0=-sqrt(2)}'
+    """
     if isinstance(obj, ChernVector):
         return obj.text()
     if isinstance(obj, bool):

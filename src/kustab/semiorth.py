@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import DomainError, RatMatrix, hnf_rows, int_kernel
+from .exact import DomainError, RatMatrix, hnf_rows, kernel_basis
 from .variety import (ChernVector, VarietyDesc, euler_pairing,
                       from_lattice_coords, in_lattice, serre_inverse_class,
                       to_lattice_coords)
@@ -67,9 +67,9 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     """Canonical basis of the residual lattice of the collection.
 
     The chi-orthogonality system is solved over the integers in lattice
-    coordinates (the integer kernel is automatically saturated), then put
-    in row Hermite normal form with positive pivots, so the output is
-    deterministic and each basis vector is primitive.
+    coordinates (the integer kernel is automatically saturated); kernel_basis
+    returns it in row Hermite normal form with positive pivots, so the output
+    is deterministic and each basis vector is primitive.
     """
     n = x.dim
     if not c.members:
@@ -79,28 +79,11 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
         if not in_lattice(x, m):
             raise DomainError("collection member not in lattice")
     # functional matrix: row i, column j = chi(E_i, H^j / lambda_j)
-    rows = []
-    for e in c.members:
-        row = []
-        for j in range(n + 1):
-            gen = ChernVector([Fraction(int(i == j), x.denoms[j])
-                               for i in range(n + 1)])
-            row.append(euler_pairing(x, e, gen))
-        rows.append(row)
-    int_rows = []
-    for row in rows:
-        scale = 1
-        for q in row:
-            scale = scale * q.denominator // _gcd(scale, q.denominator)
-        int_rows.append([int(q * scale) for q in row])
-    kernel = int_kernel(int_rows)
-    return [from_lattice_coords(x, r) for r in hnf_rows(kernel)]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    gens = [ChernVector([Fraction(int(i == j), x.denoms[j]) for i in range(n + 1)])
+            for j in range(n + 1)]
+    rows = [[euler_pairing(x, e, g) for g in gens] for e in c.members]
+    return [from_lattice_coords(x, k)
+            for k in kernel_basis(RatMatrix.from_rows(rows))]
 
 
 def _collection_gram(x: VarietyDesc, c: Collection) -> RatMatrix:
@@ -154,23 +137,13 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
     cols = []
     for b in basis:
         img = sod_project(x, c, serre_inverse_class(x, b))
-        cols.append(_coords_in(bmat, img))
+        try:
+            cols.append(bmat.solve(img))
+        except DomainError:
+            raise DomainError("class not in residual span") from None
     t = RatMatrix.from_rows(
         [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))])
     return t.inverse()
-
-
-def _coords_in(bmat: RatMatrix, v: ChernVector) -> tuple[Fraction, ...]:
-    # least-squares-free exact solve of bmat @ x = v (bmat is tall, full rank)
-    k = bmat.cols
-    rows = [list(bmat.row(i)) + [v[i]] for i in range(bmat.rows)]
-    red, pivots = RatMatrix.from_rows(rows).rref()
-    if k in pivots:
-        raise DomainError("class not in residual span")
-    sol = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][k]
-    return tuple(sol)
 
 
 def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport:

@@ -72,10 +72,9 @@ def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
                 f'font-size="12" text-anchor="middle">{b}</text>')
         b += 1
     for c in circles:
+        title = "; ".join(w.text() for w in c.witnesses)
         if c.kind == "circle":
             r = _sqrt_trunc(c.radius_sq)
-            title = "; ".join(w.text() for w in (c.witnesses or (c.witness,))
-                              if w is not None)
             lines.append(
                 f'<path class="wall" d="M {px(c.center_beta - r)} '
                 f'{py(Fraction(0))} A {_trunc6(r * SCALE)} '
@@ -83,8 +82,6 @@ def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
                 f'{py(Fraction(0))}" fill="none" stroke="crimson">'
                 f'<title>{title}</title></path>')
         elif c.kind == "vertical-line":
-            title = "; ".join(w.text() for w in (c.witnesses or (c.witness,))
-                              if w is not None)
             lines.append(
                 f'<line class="wall" x1="{px(c.line_beta)}" '
                 f'y1="{py(Fraction(0))}" x2="{px(c.line_beta)}" '

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, QuadNumber, rat
-from .variety import (ChernVector, VarietyDesc, euler_pairing,
-                      line_bundle_class)
+from .variety import (ChernVector, VarietyDesc, _degree_numbers,
+                      euler_pairing, line_bundle_class)
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,15 @@ class ExtSlope:
         return "inf" if self.is_infinite else str(self.value)
 
 
-def _abc(x: VarietyDesc, v: ChernVector) -> tuple[Fraction, Fraction, Fraction]:
-    if len(v) < 3:
-        raise DomainError("class needs at least coefficients c0, c1, c2")
-    d = x.degree
-    return v[0] * d, v[1] * d, v[2] * d
-
-
 def charge_h(x: VarietyDesc, v: ChernVector, shift: int = 0) -> Charge:
     """Z_H = -c_1 H^{n-1} + i c_0 H^n, times (-1)^shift."""
-    a0, a1, _ = _abc(x, v)
+    a0, a1, _ = _degree_numbers(x, v)
     sign = (-1) ** (shift % 2)
     return Charge(sign * -a1, sign * a0)
 
 
 def slope_h(x: VarietyDesc, v: ChernVector) -> ExtSlope:
-    a0, a1, _ = _abc(x, v)
+    a0, a1, _ = _degree_numbers(x, v)
     if a0 == 0:
         return ExtSlope.infinity()
     return ExtSlope.finite(a1 / a0)
@@ -103,7 +96,7 @@ def slope_h(x: VarietyDesc, v: ChernVector) -> ExtSlope:
 
 def charge_tilt(x: VarietyDesc, v: ChernVector, shift: int,
                 p: TiltParams) -> Charge:
-    a0, a1, a2 = _abc(x, v)
+    a0, a1, a2 = _degree_numbers(x, v)
     al, be = p.alpha, p.beta
     re = (al * al - be * be) / 2 * a0 + be * a1 - a2
     im = al * (a1 - be * a0)
@@ -121,7 +114,7 @@ def slope_tilt(x: VarietyDesc, v: ChernVector, p: TiltParams) -> ExtSlope:
 
 def discriminant_h(x: VarietyDesc, v: ChernVector) -> Fraction:
     """Delta_H = (c_1 H^{n-1})^2 - 2 (c_0 H^n)(c_2 H^{n-2})."""
-    a0, a1, a2 = _abc(x, v)
+    a0, a1, a2 = _degree_numbers(x, v)
     return a1 * a1 - 2 * a0 * a2
 
 
@@ -316,16 +309,13 @@ class AlphaInterval:
         return True
 
     def text(self) -> str:
-        hi = "inf" if self.hi is None else _quad_text(self.hi)
+        """Interval notation.
+
+        >>> AlphaInterval(lo=QuadNumber(0), hi=QuadNumber(Fraction(1, 2))).text()
+        '(0, 1/2)'
+        """
         rb = ")" if self.hi_open else "]"
-        return f"({_quad_text(self.lo)}, {hi}{rb}"
-
-
-def _quad_text(q: QuadNumber) -> str:
-    if q.is_rational:
-        return str(q.a)
-    s = f"sqrt({q.F})" if q.b == 1 else f"{q.b}*sqrt({q.F})"
-    return s if q.a == 0 else f"{q.a} + {s}"
+        return f"({self.lo}, {'inf' if self.hi is None else self.hi}{rb}"
 
 
 def alpha_range(x: VarietyDesc, members, beta) -> list[AlphaInterval]:

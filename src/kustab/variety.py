@@ -254,7 +254,20 @@ def serre_numeric(x: VarietyDesc) -> RatMatrix:
 def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:
     """True when lambda_i * c_i is an integer for every i."""
     x.check_class(v)
+    return _lattice_integral(x, v)
+
+
+def _lattice_integral(x: VarietyDesc, v: ChernVector) -> bool:
+    # the in_lattice rule on the coefficients v has, so truncations qualify too
     return all((c * d).denominator == 1 for c, d in zip(v, x.denoms))
+
+
+def _degree_numbers(x: VarietyDesc, v: ChernVector) -> tuple[Fraction, ...]:
+    # (c_0 H^n, c_1 H^(n-1), c_2 H^(n-2)) as numbers: (c_0, c_1, c_2) * degree
+    if len(v) < 3:
+        raise DomainError("class needs at least coefficients c0, c1, c2")
+    d = x.degree
+    return v[0] * d, v[1] * d, v[2] * d
 
 
 def to_lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int]:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import gcd
 
 from .exact import DomainError, QuadNumber, rat
-from .variety import ChernVector, VarietyDesc
+from .variety import (ChernVector, VarietyDesc, _degree_numbers,
+                      _lattice_integral)
 
 
 @dataclass(frozen=True)
@@ -45,24 +46,23 @@ class WallCircle:
     center_beta: Fraction | None = None
     radius_sq: Fraction | None = None
     line_beta: Fraction | None = None
-    witness: ChernVector | None = field(default=None, compare=False)
     witnesses: tuple[ChernVector, ...] = field(default=(), compare=False)
-
-
-def _pairing_numbers(x: VarietyDesc, v: ChernVector):
-    if len(v) < 3:
-        raise DomainError("class needs at least coefficients c0, c1, c2")
-    d = x.degree
-    return v[0] * d, v[1] * d, v[2] * d
 
 
 def beta_zero(x: VarietyDesc, v: ChernVector) -> BetaZero:
     """Reduced discriminant F, the line beta_0 = mu_H - sqrt(F), and the bound.
 
-    Requires c_0 H^n > 0 and F > 0; the radical folds to a rational exactly
-    when F is a rational square.
+    Requires a lattice class with c_0 H^n > 0 and F > 0; the radical folds
+    to a rational exactly when F is a rational square.
+
+    >>> from kustab.variety import get_preset
+    >>> bz = beta_zero(get_preset("q3"), ChernVector([1, 0, -1]))
+    >>> print(bz.F, bz.beta0, bz.bound)
+    2 -sqrt(2) 2*sqrt(2)
     """
-    a0, a1, a2 = _pairing_numbers(x, v)
+    if not _lattice_integral(x, v):
+        raise DomainError("class not in lattice")
+    a0, a1, a2 = _degree_numbers(x, v)
     if a0 <= 0:
         raise DomainError("rank not positive")
     f = (a1 * a1 - 2 * a0 * a2) / (a0 * a0)
@@ -126,8 +126,8 @@ def first_interval_violation(x: VarietyDesc, v: ChernVector, limit: int = 8):
 
 
 def _wall_coefficients(x, v, w):
-    a0, a1, a2 = _pairing_numbers(x, v)
-    b0, b1, b2 = _pairing_numbers(x, w)
+    a0, a1, a2 = _degree_numbers(x, v)
+    b0, b1, b2 = _degree_numbers(x, w)
     c0 = (a0 * b1 - a1 * b0) / 2
     c1 = a2 * b0 - a0 * b2
     c2 = a1 * b2 - a2 * b1
@@ -150,18 +150,18 @@ def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
         raise DomainError("zero truncated class")
     c0, c1, c2 = _wall_coefficients(x, v, w)
     if c0 == 0 and c1 == 0 and c2 == 0:
-        return WallCircle(kind="degenerate", witness=w, witnesses=(w,))
+        return WallCircle(kind="degenerate", witnesses=(w,))
     if c0 != 0:
         center = -c1 / (2 * c0)
         radius_sq = center * center - c2 / c0
         if radius_sq > 0:
             return WallCircle(kind="circle", center_beta=center,
-                              radius_sq=radius_sq, witness=w, witnesses=(w,))
-        return WallCircle(kind="empty", witness=w, witnesses=(w,))
+                              radius_sq=radius_sq, witnesses=(w,))
+        return WallCircle(kind="empty", witnesses=(w,))
     if c1 != 0:
         return WallCircle(kind="vertical-line", line_beta=-c2 / c1,
-                          witness=w, witnesses=(w,))
-    return WallCircle(kind="empty", witness=w, witnesses=(w,))
+                          witnesses=(w,))
+    return WallCircle(kind="empty", witnesses=(w,))
 
 
 def _grid_ceil(bound, lam: int, strict: bool) -> int:
@@ -277,6 +277,5 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     for (center, radius_sq) in sorted(walls):
         wits = sorted(walls[(center, radius_sq)], key=lambda w: w.coeffs)
         out.append(WallCircle(kind="circle", center_beta=center,
-                              radius_sq=radius_sq, witness=wits[0],
-                              witnesses=tuple(wits)))
+                              radius_sq=radius_sq, witnesses=tuple(wits)))
     return out

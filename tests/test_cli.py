@@ -108,6 +108,9 @@ def test_domain_errors_exit_three(capsys):
     assert "no positive discriminant" in out
     code, _ = invoke(capsys, "chi", "--variety", "nosuch", "O", "O")
     assert code == 3
+    for cmd in ("beta0", "nowall", "walls", "svg"):
+        code, out = invoke(capsys, cmd, "--variety", "q3", "1/2,0,-1")
+        assert (code, out) == (3, "error: class not in lattice\n")
 
 
 def test_determinism_text_and_json(capsys):
@@ -189,7 +192,6 @@ def test_render_walls_svg_unit():
     one = render_walls_svg(
         [WallCircle(kind="circle", center_beta=Fraction(1, 2),
                     radius_sq=Fraction(1, 4),
-                    witness=ChernVector([1, 0, 0]),
                     witnesses=(ChernVector([1, 0, 0]),))],
         {"beta_min": -2, "beta_max": 2, "alpha_max": 2})
     assert one.count(b"<path") == 1

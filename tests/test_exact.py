@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from kustab.exact import (DomainError, QuadNumber, RatMatrix, kernel_basis,
                           lattice_primitive, quad_compare)
+from kustab.tilt import AlphaInterval
 
 from oracles import row_reduce_rank, sqrt_interval
 
@@ -61,6 +63,17 @@ def test_kernel_rank_nullity_random():
                        for r in m.entries)
         if basis:
             assert row_reduce_rank(basis) == len(basis)
+
+
+def test_kernel_basis_is_saturated():
+    # the Z-span of the basis is every integer kernel vector: the maximal
+    # minors of the basis matrix have gcd 1 ((1, 0, -2) and (0, 1, -1) here)
+    basis = kernel_basis(RatMatrix.from_rows([[2, 1, 1]]))
+    assert len(basis) == 2
+    (a, b) = basis
+    minors = [a[i] * b[j] - a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert all(m.denominator == 1 for m in minors)
+    assert gcd(*(int(m) for m in minors)) == 1
 
 
 def test_lattice_primitive_examples():
@@ -152,6 +165,25 @@ def test_quad_arithmetic_and_floor():
     assert (-s2).floor() == -2
     assert QuadNumber(Fraction(7, 2)).floor() == 3
     assert (3 * s2).floor() == 4   # 3*sqrt(2) = 4.24...
+
+
+def test_quad_text_formatter():
+    assert str(QuadNumber(Fraction(-3, 2))) == "-3/2"
+    assert str(QuadNumber(0, 1, 2)) == "sqrt(2)"
+    assert str(QuadNumber(0, -1, 2)) == "-sqrt(2)"
+    assert str(QuadNumber(0, -2, 2)) == "-2*sqrt(2)"
+    assert str(QuadNumber(0, Fraction(1, 2), 3)) == "1/2*sqrt(3)"
+    assert str(QuadNumber(1, 1, 2)) == "1 + sqrt(2)"
+    assert str(QuadNumber(1, -1, 2)) == "1 - sqrt(2)"
+    assert str(QuadNumber(Fraction(1, 3), -1, Fraction(13, 9))) == "1/3 - sqrt(13/9)"
+    assert str(QuadNumber(-1, -6, Fraction(13, 9))) == "-1 - 6*sqrt(13/9)"
+    assert str(QuadNumber(-1, Fraction(5, 2), 7)) == "-1 + 5/2*sqrt(7)"
+    readme = AlphaInterval(lo=QuadNumber(0), hi=QuadNumber(Fraction(1, 2)))
+    assert readme.text() == "(0, 1/2)"
+    closed = AlphaInterval(lo=QuadNumber(0), hi=QuadNumber(1, -1, 2) * -1,
+                           hi_open=False)
+    assert closed.text() == "(0, -1 + sqrt(2)]"
+    assert AlphaInterval(lo=QuadNumber(0), hi=None).text() == "(0, inf)"
 
 
 def test_quad_negative_radicand_rejected():

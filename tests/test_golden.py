@@ -119,7 +119,10 @@ def transcript(cases) -> bytes:
     return b"".join(parts)
 
 
-@pytest.mark.parametrize("name,cases", _cases(), ids=[n for n, _ in _cases()])
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name,cases", CASES, ids=[n for n, _ in CASES])
 def test_golden_transcript(name, cases):
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     got = transcript(cases)
@@ -134,7 +137,7 @@ def test_golden_transcript(name, cases):
 
 
 def _regenerate() -> None:
-    for name, cases in _cases():
+    for name, cases in CASES:
         (GOLDEN / f"{name}.txt").write_bytes(transcript(cases))
         print(f"wrote {GOLDEN / name}.txt")
 

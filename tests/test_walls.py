@@ -32,6 +32,12 @@ def test_beta_zero_errors():
         beta_zero(Q3, ChernVector([0, 1, 0]))
     with pytest.raises(DomainError, match="rank not positive"):
         beta_zero(Q3, ChernVector([-1, 0, -1]))
+    # rank 1/2; c2 = 1/4 where the lattice needs c2 in Z/2; c3 = 1/24
+    for v in (ChernVector([Fraction(1, 2), 0, -1]),
+              ChernVector([1, 0, Fraction(-1, 4)]),
+              ChernVector([2, -1, 0, Fraction(1, 24)])):
+        with pytest.raises(DomainError, match="class not in lattice"):
+            beta_zero(Q3, v)
 
 
 def test_beta_zero_irrational_branch():
@@ -72,6 +78,8 @@ def test_nowall_none_when_step_beats_gcd():
 def test_nowall_error_propagates():
     with pytest.raises(DomainError, match="rank not positive"):
         nowall_certificate(Q3, ChernVector([0, 1, 0]))
+    with pytest.raises(DomainError, match="class not in lattice"):
+        nowall_certificate(Q3, ChernVector([Fraction(1, 2), 0, -1]))
 
 
 def _rational_points_on_circle(center, radius_sq, count):
@@ -138,6 +146,8 @@ def test_wall_scan_zero_bounds_empty():
 def test_wall_scan_error_propagates():
     with pytest.raises(DomainError, match="rank not positive"):
         wall_scan(Q3, ChernVector([0, 1, 0]), 3, 3)
+    with pytest.raises(DomainError, match="class not in lattice"):
+        wall_scan(Q3, ChernVector([Fraction(1, 2), 0, -1]), 3, 3)
 
 
 def test_wall_scan_irrational_example():
