@@ -39,6 +39,15 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _rational(text: str) -> Fraction:
+    # every rational flag; a zero denominator is a usage error, not a crash
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid rational value: {text!r}") from None
+
+
 def parse_class(token: str, x: VarietyDesc, truncated: bool = False) -> ChernVector:
     """Resolve a class token: "O", "O(k)", "S", or comma-separated rationals.
 
@@ -282,15 +291,15 @@ _ARGUMENTS = {
     "lhs": {}, "rhs": {}, "target": {},
     "members": dict(nargs="*"),
     "--convention": dict(choices=("chi", "paper"), default="chi"),
-    "--alpha": dict(type=Fraction, required=True),
-    "--beta": dict(type=Fraction, required=True),
-    "--mu": dict(type=Fraction, default=Fraction(0)),
+    "--alpha": dict(type=_rational, required=True),
+    "--beta": dict(type=_rational, required=True),
+    "--mu": dict(type=_rational, default=Fraction(0)),
     "--shift": dict(type=int, default=0),
-    "--max-rank": dict(type=Fraction, default=Fraction(3)),
-    "--max-c1": dict(type=Fraction, default=Fraction(3)),
-    "--beta-min": dict(type=Fraction, default=Fraction(-4)),
-    "--beta-max": dict(type=Fraction, default=Fraction(2)),
-    "--alpha-max": dict(type=Fraction, default=Fraction(3)),
+    "--max-rank": dict(type=_rational, default=Fraction(3)),
+    "--max-c1": dict(type=_rational, default=Fraction(3)),
+    "--beta-min": dict(type=_rational, default=Fraction(-4)),
+    "--beta-max": dict(type=_rational, default=Fraction(2)),
+    "--alpha-max": dict(type=_rational, default=Fraction(3)),
     "--gen": dict(action="append", default=[],
                   help="residual generator token (repeatable)"),
     "--stability-assumed": dict(action=argparse.BooleanOptionalAction,

@@ -261,17 +261,20 @@ def blms_check(x: VarietyDesc, members, p: TiltParams) -> BlmsReport:
         items.append(BlmsItem(
             2, f"Z(O({k})) nonzero", not z.is_zero(),
             f"Z = {z.re} + {z.im}*i"))
-    if x.low_deg_H_generated:
-        gen = ChernVector([Fraction(0)] * x.dim
-                          + [Fraction(1, x.denoms[x.dim])])
-        pairing = euler_pairing(x, line_bundle_class(x, 0), gen)
-        ok = pairing != 0
-        detail = (f"chi(O, minimal zero-charge class) = {pairing}")
-    else:
-        ok = False
-        detail = "low-degree cohomology flag not set"
-    items.append(BlmsItem(3, "zero-charge classes pair with O", ok, detail))
+    pairing = _zero_charge_pairing(x)
+    detail = ("low-degree cohomology flag not set" if pairing is None
+              else f"chi(O, minimal zero-charge class) = {pairing}")
+    items.append(BlmsItem(3, "zero-charge classes pair with O",
+                          bool(pairing), detail))
     return BlmsReport(passed=all(i.passed for i in items), items=tuple(items))
+
+
+def _zero_charge_pairing(x: VarietyDesc) -> Fraction | None:
+    # condition (3): chi(O, minimal zero-charge class), None without the flag
+    if not x.low_deg_H_generated:
+        return None
+    gen = ChernVector([Fraction(0)] * x.dim + [Fraction(1, x.denoms[x.dim])])
+    return euler_pairing(x, line_bundle_class(x, 0), gen)
 
 
 def _checks_text(verdict: HeartVerdict) -> str:
@@ -354,12 +357,7 @@ def alpha_range(x: VarietyDesc, members, beta) -> list[AlphaInterval]:
             return []   # tilt slope is +infinity, never <= 0
         tighten(QuadNumber(be - m), False)
         # charges of both objects have Im = alpha (k' - beta) d != 0 here
-    if x.low_deg_H_generated:
-        gen = ChernVector([Fraction(0)] * x.dim
-                          + [Fraction(1, x.denoms[x.dim])])
-        if euler_pairing(x, line_bundle_class(x, 0), gen) == 0:
-            return []
-    else:
+    if not _zero_charge_pairing(x):     # flag unset, or the pairing is 0
         return []
     if hi is not None and hi <= 0:
         return []

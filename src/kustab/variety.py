@@ -4,11 +4,11 @@ A variety is described by the data that Riemann-Roch needs: dimension n,
 degree d = H^n, the Todd class written as sum t_i H^i, the denominators of
 the numerical lattice (+) Z * H^i / lambda_i, and the Fano index r with
 omega = O(-r).  Chern characters live in ChernVector, the universal carrier
-for classes sum c_i H^i, and the Euler pairing is
+for classes sum c_i H^i, and the Euler pairing is, by Riemann-Roch,
 
-    chi(v, w) = d * [H^n coefficient of v~ * w * td],
+    chi(v, w) = d * sum over i + j <= n of (-1)^i v_i w_j t_(n-i-j),
 
-where v~ negates the odd-degree coefficients of v.
+the H^n coefficient of ch(v)^dual * ch(w) * td times the degree.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ class ChernVector:
         if len(self.coeffs) < k + 1:
             raise DomainError("class too short to truncate")
         return ChernVector(self.coeffs[: k + 1])
-
-    def dual(self) -> "ChernVector":
-        """Negate odd-degree coefficients (the class of the dual object)."""
-        return ChernVector(c if i % 2 == 0 else -c
-                           for i, c in enumerate(self.coeffs))
 
     def text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
@@ -184,27 +179,15 @@ def exp_twist(v: ChernVector, gamma) -> ChernVector:
         sum(v[m - j] * exps[j] for j in range(m + 1)) for m in range(n))
 
 
-def _top_coefficient(x: VarietyDesc, *classes) -> Fraction:
-    # H^n coefficient of the truncated product of the given classes with td
-    n = x.dim
-    acc = [Fraction(0)] * (n + 1)
-    acc[0] = Fraction(1)
-    for cls in (*classes, x.todd):
-        nxt = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                nxt[i + j] += a * cls[j]
-        acc = nxt
-    return acc[n]
-
-
 def euler_pairing(x: VarietyDesc, v: ChernVector, w: ChernVector) -> Fraction:
     """chi(v, w) via Riemann-Roch."""
     x.check_class(v)
     x.check_class(w)
-    return x.degree * _top_coefficient(x, v.dual(), w)
+    n, td = x.dim, x.todd
+    return x.degree * sum(
+        ((-vi if i % 2 else vi)
+         * sum(w[j] * td[n - i - j] for j in range(n + 1 - i))
+         for i, vi in enumerate(v) if vi), Fraction(0))
 
 
 def gram_matrix(x: VarietyDesc, convention: str = "chi") -> RatMatrix:

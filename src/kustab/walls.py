@@ -8,9 +8,16 @@ open interval criterion
     0 < ch_1^{beta_0}(w) H^{n-1} < ch_1^{beta_0}(v) H^{n-1} = sqrt(F) c_0 H^n,
 
 and both w and v - w must satisfy the Bogomolov-Gieseker inequality
-Delta_H >= 0.  The no-wall certificate settles the rational-beta_0 case by
-a gcd computation on the value set; wall_scan enumerates the finite set of
-candidate classes passing all filters inside given rank bounds.
+Delta_H >= 0.  Since ch_2^{beta_0}(v) = 0, the wall of (v, w) meets the
+line beta = beta_0 at a height alpha > 0 exactly when alpha^2 > 0 in
+
+    alpha^2 (v_0 w_1 - v_1 w_0) / 2 = -ch_2^{beta_0}(w) v_0 sqrt(F),
+
+with v_i, w_i the coefficients c_i: a strict bound on w_2 at
+beta_0 w_1 - beta_0^2 w_0 / 2, above when v_0 w_1 - v_1 w_0 > 0 and below
+when it is negative.  The no-wall certificate settles the rational-beta_0
+case by a gcd computation on the value set; wall_scan enumerates the finite
+set of candidate classes passing all filters inside given rank bounds.
 """
 
 from __future__ import annotations
@@ -108,18 +115,14 @@ def first_interval_violation(x: VarietyDesc, v: ChernVector, limit: int = 8):
     (c0, c1, value) or None when the bounded search finds nothing.
     """
     bz = beta_zero(x, v)
-    lam0, lam1 = x.denoms[0], x.denoms[1]
     order = [0]
-    for k in range(1, limit * lam0 + 1):
+    for k in range(1, limit * x.denoms[0] + 1):
         order.extend([k, -k])
     for k0 in order:
-        c0w = Fraction(k0, lam0)
-        lo = bz.beta0 * c0w
-        hi = lo + bz.bound / x.degree
-        k1 = _grid_ceil(lo, lam1, strict=True)
-        k1_max = _grid_floor(hi, lam1, strict=True)
+        c0w = Fraction(k0, x.denoms[0])
+        k1, k1_max = _interval_k1(x, bz, c0w)
         if k1 <= k1_max:
-            c1w = Fraction(k1, lam1)
+            c1w = Fraction(k1, x.denoms[1])
             value = (QuadNumber(c1w) - bz.beta0 * c0w) * x.degree
             return c0w, c1w, value
     return None
@@ -164,42 +167,23 @@ def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
     return WallCircle(kind="empty", witnesses=(w,))
 
 
-def _grid_ceil(bound, lam: int, strict: bool) -> int:
-    """Smallest k with k/lam > bound (strict) or >= bound."""
-    t = (bound if isinstance(bound, QuadNumber) else QuadNumber(rat(bound))) * lam
-    f = t.floor()
-    if t == f:
-        return f + 1 if strict else f
-    return f + 1
-
-
 def _grid_floor(bound, lam: int, strict: bool) -> int:
     """Largest k with k/lam < bound (strict) or <= bound."""
-    t = (bound if isinstance(bound, QuadNumber) else QuadNumber(rat(bound))) * lam
+    t = (bound if isinstance(bound, QuadNumber) else QuadNumber(bound)) * lam
     f = t.floor()
-    if t == f:
-        return f - 1 if strict else f
-    return f
+    return f - 1 if strict and t == f else f
 
 
-def _crossing_threshold(x, v, bz, c0w, c1w):
-    """Affine condition in c2 for the circle of (v, w) to cross beta_0 at alpha > 0.
+def _grid_ceil(bound, lam: int, strict: bool) -> int:
+    """Smallest k with k/lam > bound (strict) or >= bound."""
+    return -_grid_floor(-bound, lam, strict)
 
-    radius^2 - (beta_0 - center)^2 = -C2/C0 + 2 beta_0 center - beta_0^2 is
-    affine in c2 of w; returns (coefficient sign, threshold) for f > 0.
-    """
-    def f_at(c2w):
-        w = ChernVector([c0w, c1w, c2w])
-        c0, c1, c2 = _wall_coefficients(x, v, w)
-        center = -c1 / (2 * c0)
-        return (QuadNumber(-c2 / c0) + 2 * bz.beta0 * center
-                - bz.beta0 * bz.beta0)
 
-    p = f_at(Fraction(0))
-    q = f_at(Fraction(1)) - p
-    if q.sign() == 0:
-        raise DomainError("degenerate crossing condition")
-    return q.sign(), (-p) / q
+def _interval_k1(x, bz, c0w):
+    """(k1_lo, k1_hi): the k1 whose (c0w, k1/lam1) has value in (0, bound)."""
+    lo, lam1 = bz.beta0 * c0w, x.denoms[1]
+    return (_grid_ceil(lo, lam1, strict=True),
+            _grid_floor(lo + bz.bound / x.degree, lam1, strict=True))
 
 
 def _scan_cell(x, v, bz, c0w, c1w):
@@ -211,10 +195,8 @@ def _scan_cell(x, v, bz, c0w, c1w):
     """
     lam2 = x.denoms[2]
     va0, va1, va2 = v[0], v[1], v[2]
-    b0d = c0w * x.degree
-    a1d = va1 * x.degree
-    a0d = va0 * x.degree
-    if a0d * c1w * x.degree - a1d * b0d == 0:
+    direction = va0 * c1w - va1 * c0w
+    if direction == 0:
         return []    # vertical or degenerate direction, never crosses beta_0
     lowers: list[tuple] = []
     uppers: list[tuple] = []
@@ -227,11 +209,10 @@ def _scan_cell(x, v, bz, c0w, c1w):
         lowers.append((va2 - u1 * u1 / (2 * u0), False))
     elif u0 < 0:
         uppers.append((va2 - u1 * u1 / (2 * u0), False))
-    sign, threshold = _crossing_threshold(x, v, bz, c0w, c1w)
-    if sign > 0:
-        lowers.append((threshold, True))
-    else:
-        uppers.append((threshold, True))
+    # ch_2^{beta_0}(v) = 0 leaves alpha^2 direction / 2 = -ch_2^{beta_0}(w)
+    # v_0 sqrt(F) at beta_0: c2 < or > beta_0 c1 - beta_0^2 c0 / 2 by its sign
+    threshold = bz.beta0 * (c1w - bz.beta0 * (c0w / 2))
+    (uppers if direction > 0 else lowers).append((threshold, True))
     if not lowers or not uppers:
         raise DomainError("unbounded candidate range")
     k_lo = max(_grid_ceil(b, lam2, strict) for b, strict in lowers)
@@ -259,17 +240,16 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     """
     bz = beta_zero(x, v)
     max_rank, max_c1 = rat(max_rank), rat(max_c1)
+    if max_rank < 0 or max_c1 < 0:
+        raise DomainError("negative scan bound")
     lam0, lam1 = x.denoms[0], x.denoms[1]
     walls: dict[tuple, list[ChernVector]] = {}
     k0_hi = _grid_floor(max_rank, lam0, strict=False)
+    k1_box = _grid_floor(max_c1, lam1, strict=False)
     for k0 in range(-k0_hi, k0_hi + 1):
         c0w = Fraction(k0, lam0)
-        lo = bz.beta0 * c0w
-        hi = lo + bz.bound / x.degree
-        k1_lo = max(_grid_ceil(lo, lam1, strict=True),
-                    _grid_ceil(-max_c1, lam1, strict=False))
-        k1_hi = min(_grid_floor(hi, lam1, strict=True),
-                    _grid_floor(max_c1, lam1, strict=False))
+        k1_lo, k1_hi = _interval_k1(x, bz, c0w)
+        k1_lo, k1_hi = max(k1_lo, -k1_box), min(k1_hi, k1_box)
         for k1 in range(k1_lo, k1_hi + 1):
             for key, w in _scan_cell(x, v, bz, c0w, Fraction(k1, lam1)):
                 walls.setdefault(key, []).append(w)

@@ -100,6 +100,15 @@ def test_usage_errors_exit_two(capsys):
     assert run(["chi", "--variety", "q3", "1,0,0", "O"]) == 2  # wrong arity
     assert run(["chi", "--config", "/nonexistent.json", "O", "O"]) == 2
     capsys.readouterr()
+    # a zero denominator in any rational flag is a one-line usage error
+    for argv in (["ztilt", "--variety", "q3", "S", "--alpha", "1/0",
+                  "--beta", "0"],
+                 ["walls", "--variety", "q3", "1,0,-1", "--max-c1", "1/0"],
+                 ["svg", "--variety", "q3", "1,0,-1", "--beta-min", "1/0"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("invalid rational value: '1/0'\n")
+        assert err.count("\n") == 1
 
 
 def test_domain_errors_exit_three(capsys):
@@ -111,6 +120,10 @@ def test_domain_errors_exit_three(capsys):
     for cmd in ("beta0", "nowall", "walls", "svg"):
         code, out = invoke(capsys, cmd, "--variety", "q3", "1/2,0,-1")
         assert (code, out) == (3, "error: class not in lattice\n")
+    for cmd in ("walls", "svg"):
+        code, out = invoke(capsys, cmd, "--variety", "q3", "1,0,-1",
+                           "--max-rank", "-1")
+        assert (code, out) == (3, "error: negative scan bound\n")
 
 
 def test_determinism_text_and_json(capsys):

@@ -13,8 +13,8 @@ from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
                             in_lattice, line_bundle_class, serre_class,
                             serre_inverse_class, serre_numeric)
 
-from oracles import (chern_y2, chern_y4, hilbert_p4, hilbert_q3, todd_from_chern_3fold,
-                     todd_p4)
+from oracles import (chern_y2, chern_y4, hilbert_p4, hilbert_q3, series_mul,
+                     todd_from_chern_3fold, todd_p4)
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
@@ -87,6 +87,22 @@ def test_euler_pairing_against_hilbert_oracle():
             got = euler_pairing(P4, line_bundle_class(P4, a),
                                 line_bundle_class(P4, b))
             assert got == hilbert_p4(b - a)
+
+
+def test_euler_pairing_matches_series_oracle():
+    # d * [H^n] of dual(v) * w * td by truncated series products, on random
+    # rational classes with zero entries and nonzero odd-degree entries
+    rng = random.Random(5)
+    for x in PRESET_LIST:
+        n = x.dim
+        for _ in range(60):
+            v, w = ([Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+                     if rng.random() < 0.7 else Fraction(0)
+                     for _ in range(n + 1)] for _ in range(2))
+            dual = [c if i % 2 == 0 else -c for i, c in enumerate(v)]
+            expected = x.degree * series_mul(
+                series_mul(dual, w, n), list(x.todd), n)[n]
+            assert euler_pairing(x, ChernVector(v), ChernVector(w)) == expected
 
 
 def test_euler_pairing_spinor():

@@ -146,6 +146,9 @@ def test_wall_scan_zero_bounds_empty():
 def test_wall_scan_error_propagates():
     with pytest.raises(DomainError, match="rank not positive"):
         wall_scan(Q3, ChernVector([0, 1, 0]), 3, 3)
+    for bounds in ((-1, 3), (3, Fraction(-1, 2))):
+        with pytest.raises(DomainError, match="negative scan bound"):
+            wall_scan(Q3, IRRATIONAL, *bounds)
     with pytest.raises(DomainError, match="class not in lattice"):
         wall_scan(Q3, ChernVector([Fraction(1, 2), 0, -1]), 3, 3)
 
@@ -163,11 +166,20 @@ def test_wall_scan_irrational_example():
 
 
 def test_wall_scan_matches_enumeration_oracle():
-    for v, bounds in ((IRRATIONAL, (3, 3)), (IRRATIONAL, (5, 5)),
-                      (ChernVector([2, 0, -1]), (4, 4)),
-                      (ChernVector([2, -1, -1]), (3, 3))):
-        got = wall_scan(Q3, v, *bounds)
-        expected = enumerate_walls(Q3.degree, Q3.denoms, tuple(v), *bounds)
+    P4, Y4, Y2 = get_preset("p4"), get_preset("y4"), get_preset("y2")
+    for x, v, bounds in (
+            (Q3, IRRATIONAL, (3, 3)), (Q3, IRRATIONAL, (5, 5)),
+            (Q3, ChernVector([2, 0, -1]), (4, 4)),
+            (Q3, ChernVector([2, -1, -1]), (3, 3)),
+            # rational beta_0 = -2
+            (Q3, ChernVector([2, -1, -2]), (4, 4)),
+            (Q3, ChernVector([1, 0, -2]), (4, 4)),
+            (Q3, exp_twist(ChernVector([2, -1, -1]), 1), (3, 5)),
+            (P4, IRRATIONAL, (3, 3)), (P4, ChernVector([2, -1, -2]), (3, 3)),
+            (Y4, IRRATIONAL, (3, 3)), (Y4, ChernVector([2, -1, -1]), (3, 3)),
+            (Y2, IRRATIONAL, (3, 3)), (Y2, ChernVector([2, 1, -1]), (3, 3))):
+        got = wall_scan(x, v, *bounds)
+        expected = enumerate_walls(x.degree, x.denoms, tuple(v), *bounds)
         assert {(w.center_beta, w.radius_sq) for w in got} == set(expected)
         for w in got:
             key = (w.center_beta, w.radius_sq)
