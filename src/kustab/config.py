@@ -22,6 +22,9 @@ from .variety import PRESETS, VarietyDesc
 
 
 def variety_from_dict(rec: dict) -> VarietyDesc:
+    flag = rec.get("low_deg_H_generated", True)
+    if not isinstance(flag, bool):
+        raise DomainError("config field low_deg_H_generated must be a boolean")
     try:
         return VarietyDesc(
             name=str(rec["name"]),
@@ -30,7 +33,7 @@ def variety_from_dict(rec: dict) -> VarietyDesc:
             index=int(rec["index"]),
             todd=tuple(rat(t) for t in rec["todd"]),
             denoms=tuple(int(d) for d in rec["denoms"]),
-            low_deg_H_generated=bool(rec.get("low_deg_H_generated", True)))
+            low_deg_H_generated=flag)
     except KeyError as exc:
         raise DomainError(f"config variety missing field {exc}") from None
 

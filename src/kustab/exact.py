@@ -3,8 +3,7 @@
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 real quadratic numbers a + b*sqrt(F) carry their radicand symbolically, and
 kernels are computed over the integers by unimodular reduction.  No floating
-point enters any decision path; approximations exist only to seed exact
-integer floor computations, and every seeded guess is verified exactly.
+point enters any decision path, and no approximation is used anywhere.
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ def is_square(q: Fraction) -> bool:
         return False
     p, d = q.numerator, q.denominator
     return isqrt(p) ** 2 == p and isqrt(d) ** 2 == d
-
-
-def _sqrt_bounds(q: Fraction, scale: int) -> tuple[Fraction, Fraction]:
-    # lo <= sqrt(q) <= hi with hi - lo <= 1/scale, all exact
-    p, d = q.numerator, q.denominator
-    r = isqrt(p * d * scale * scale)
-    return Fraction(r, d * scale), Fraction(r + 1, d * scale)
 
 
 class QuadNumber:
@@ -183,21 +175,20 @@ class QuadNumber:
         return self._cmp(other) >= 0
 
     def floor(self) -> int:
-        """Exact floor, seeded by an interval bound and then verified."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        scale = 10 ** 20
-        lo, hi = _sqrt_bounds(self.F, scale)
-        if self.b > 0:
-            approx = self.a + self.b * lo
-        else:
-            approx = self.a + self.b * hi
-        n = approx.numerator // approx.denominator
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        while self._cmp(n) < 0:
-            n -= 1
-        return n
+        """Exact floor, in closed form.
+
+        Writing self = (p + s*sqrt(N))/m with integers m = lcm(den a,
+        den b * den F), p = m*a and N = (m*b)^2 * F, N is not a square, so
+        floor(s*sqrt(N)) is isqrt(N) for s > 0 and -isqrt(N) - 1 for s < 0.
+        """
+        a, b, F = self.a, self.b, self.F
+        if b == 0:
+            return a.numerator // a.denominator
+        m = lcm(a.denominator, b.denominator * F.denominator)
+        p = a.numerator * (m // a.denominator)
+        r = isqrt((b.numerator * (m // b.denominator)) ** 2
+                  * F.numerator // F.denominator)
+        return (p + r) // m if b > 0 else (p - r - 1) // m
 
     def __str__(self):
         """Report text: "a", "sqrt(F)", "-2*sqrt(F)", "1/2 - sqrt(F)", ...

@@ -9,9 +9,8 @@ all decisions have been made exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
-from .exact import rat
+from .exact import QuadNumber, rat
 from .walls import WallCircle
 
 SCALE = 100          # pixels per unit
@@ -27,8 +26,7 @@ def _trunc6(q: Fraction) -> str:
 
 def _sqrt_trunc(q: Fraction) -> Fraction:
     """floor(sqrt(q) * 10^6) / 10^6, exactly."""
-    p, d = q.numerator, q.denominator
-    return Fraction(isqrt(p * d * 10 ** 12) // d, 10 ** 6)
+    return Fraction(QuadNumber(0, 10 ** 6, q).floor(), 10 ** 6)
 
 
 def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:

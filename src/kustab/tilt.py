@@ -73,9 +73,6 @@ class ExtSlope:
     def gt(self, threshold) -> bool:
         return True if self.is_infinite else self.value > rat(threshold)
 
-    def leq(self, threshold) -> bool:
-        return False if self.is_infinite else self.value <= rat(threshold)
-
     def __str__(self):
         return "inf" if self.is_infinite else str(self.value)
 
@@ -137,50 +134,34 @@ class HeartVerdict:
         return self.case_id is not None
 
 
+# the four membership cases: (case, shift of the sheaf, mu_H > beta,
+# mu_tilt > mu); the first case at each shift is reported when none holds
+_HEART_CASES = ((1, 0, True, True), (2, 1, False, True),
+                (3, 1, True, False), (4, 2, False, False))
+
+
 def heart_case(x: VarietyDesc, v: ChernVector, shift: int,
                p: TiltParams) -> HeartVerdict:
     """Membership of sheaf[shift] in the doubly tilted heart.
 
     The caller asserts that the object is semistable for both the weak and
     the tilt charge; under that hypothesis membership is equivalent to one
-    of four slope-inequality cases, depending on the shift at which the
-    underlying sheaf sits:
-
-      shift 0, case 1:  mu_H > beta  and  mu_tilt > mu
-      shift 1, case 2:  mu_H <= beta and  mu_tilt > mu
-      shift 1, case 3:  mu_H > beta  and  mu_tilt <= mu
-      shift 2, case 4:  mu_H <= beta and  mu_tilt <= mu
+    of the four slope-inequality cases of _HEART_CASES at the shift where
+    the underlying sheaf sits.  The verdict carries that case's two checks.
     """
     if shift not in (0, 1, 2):
         raise DomainError("shift out of range for double tilt")
-    mh = slope_h(x, v)
-    mt = slope_tilt(x, v, p)
-    h_gt = mh.gt(p.beta)
-    h_leq = mh.leq(p.beta)
-    t_gt = mt.gt(p.mu)
-    t_leq = mt.leq(p.mu)
-    if shift == 0:
-        checks = (SlopeCheck("mu_H > beta", mh, p.beta, h_gt),
-                  SlopeCheck("mu_tilt > mu", mt, p.mu, t_gt))
-        case = 1 if (h_gt and t_gt) else None
-    elif shift == 1:
-        if h_leq and t_gt:
-            case = 2
-            checks = (SlopeCheck("mu_H <= beta", mh, p.beta, True),
-                      SlopeCheck("mu_tilt > mu", mt, p.mu, True))
-        elif h_gt and t_leq:
-            case = 3
-            checks = (SlopeCheck("mu_H > beta", mh, p.beta, True),
-                      SlopeCheck("mu_tilt <= mu", mt, p.mu, True))
-        else:
-            case = None
-            checks = (SlopeCheck("mu_H <= beta", mh, p.beta, h_leq),
-                      SlopeCheck("mu_tilt > mu", mt, p.mu, t_gt))
-    else:
-        checks = (SlopeCheck("mu_H <= beta", mh, p.beta, h_leq),
-                  SlopeCheck("mu_tilt <= mu", mt, p.mu, t_leq))
-        case = 4 if (h_leq and t_leq) else None
-    return HeartVerdict(case_id=case, shift_of_sheaf=shift,
+    mh, mt = slope_h(x, v), slope_tilt(x, v, p)
+    signs = (mh.gt(p.beta), mt.gt(p.mu))
+    at_shift = [c for c in _HEART_CASES if c[1] == shift]
+    held = [c for c in at_shift if c[2:] == signs]
+    case, _, h_gt, t_gt = (held or at_shift)[0]
+    checks = (
+        SlopeCheck(f"mu_H {'>' if h_gt else '<='} beta", mh, p.beta,
+                   signs[0] == h_gt),
+        SlopeCheck(f"mu_tilt {'>' if t_gt else '<='} mu", mt, p.mu,
+                   signs[1] == t_gt))
+    return HeartVerdict(case_id=case if held else None, shift_of_sheaf=shift,
                         slope_checks=checks)
 
 

@@ -171,7 +171,7 @@ def _grid_floor(bound, lam: int, strict: bool) -> int:
     """Largest k with k/lam < bound (strict) or <= bound."""
     t = (bound if isinstance(bound, QuadNumber) else QuadNumber(bound)) * lam
     f = t.floor()
-    return f - 1 if strict and t == f else f
+    return f - 1 if strict and t.is_rational and t.a == f else f
 
 
 def _grid_ceil(bound, lam: int, strict: bool) -> int:

@@ -143,6 +143,23 @@ def sign_a_plus_b_sqrt(a: Fraction, b: Fraction, f: Fraction) -> int:
     return (1 if big_a else -1) if a > 0 else (-1 if big_a else 1)
 
 
+def floor_a_plus_b_sqrt(a: Fraction, b: Fraction, f: Fraction) -> int:
+    """floor(a + b*sqrt(f)) by integer bisection on sign_a_plus_b_sqrt alone."""
+    a, b, f = Fraction(a), Fraction(b), Fraction(f)
+    # |a + b sqrt(f)| <= |a| + |b| (f + 1) since sqrt(f) <= f + 1
+    reach = abs(a) + abs(b) * (f + 1)
+    lo = -(reach.numerator // reach.denominator) - 1
+    hi = -lo + 1
+    # invariant: lo <= a + b sqrt(f) < hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sign_a_plus_b_sqrt(a - mid, b, f) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def sqrt_interval(f: Fraction, digits: int = 40) -> tuple[Fraction, Fraction]:
     """Exact enclosure lo <= sqrt(f) <= hi with width 1/10^digits."""
     scale = 10 ** digits

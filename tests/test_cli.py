@@ -1,7 +1,11 @@
 """CLI surface: parsing, reports, exit codes, determinism, SVG output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,39 @@ def test_config_variety(tmp_path, capsys):
     assert code == 0
     assert doc["variety"] == "QQ"
     assert doc["result"]["chi"] == "5/1"
+
+
+def test_config_flag_must_be_boolean(tmp_path, capsys):
+    rec = {"name": "X", "dim": 3, "degree": 2, "index": 3,
+           "todd": ["1", "3/2", "13/12", "1/2"], "denoms": [1, 1, 2, 12]}
+    argv = ["blms", "--variety", "x", "--alpha", "1/4", "--beta", "-1/2"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"varieties": [
+        dict(rec, low_deg_H_generated=False)]}))
+    code, out = invoke(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and "verdict: FAIL" in out
+    for bad in ("false", 0, 1, None, []):
+        cfg.write_text(json.dumps({"varieties": [
+            dict(rec, low_deg_H_generated=bad)]}))
+        code, out = invoke(capsys, *argv, "--config", str(cfg))
+        assert code == 3, bad
+        assert out.startswith("error: ") and "low_deg_H_generated" in out
+
+
+def test_output_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    commands = (["classify", "S", "--json"], ["orth"], ["fullness"],
+                ["walls", "1,0,-1", "--json"], ["alpha-range", "--beta", "-1/2"],
+                ["svg", "1,0,-1"])
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "kustab.cli", *argv, "--variety", "q3"],
+                env=env, capture_output=True, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0], argv
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from kustab.exact import (DomainError, QuadNumber, RatMatrix, kernel_basis,
                           lattice_primitive, quad_compare)
+from kustab.svg import _sqrt_trunc
 from kustab.tilt import AlphaInterval
 
-from oracles import row_reduce_rank, sqrt_interval
+from oracles import (floor_a_plus_b_sqrt, row_reduce_rank,
+                     sign_a_plus_b_sqrt, sqrt_interval)
 
 # the 3 x 4 orthogonality system: rows ch(O), ch(O(1)), ch(O(2)) against the
 # degree-normalized pairing matrix of the quadric threefold
@@ -165,6 +167,75 @@ def test_quad_arithmetic_and_floor():
     assert (-s2).floor() == -2
     assert QuadNumber(Fraction(7, 2)).floor() == 3
     assert (3 * s2).floor() == 4   # 3*sqrt(2) = 4.24...
+
+
+def _sqrt_convergent(n: int, s: int, limit: int) -> Fraction:
+    """The last convergent h/(k s) of sqrt(n/s) = sqrt(n s)/s with k <= limit."""
+    r, root = n * s, isqrt(n * s)
+    m, d, t = 0, 1, root
+    h0, h1, k0, k1 = 1, root, 0, 1
+    while True:
+        m = d * t - m
+        d = (r - m * m) // d
+        t = (root + m) // d
+        if t * k1 + k0 > limit:
+            return Fraction(h1, k1 * s)
+        h0, h1, k0, k1 = h1, t * h1 + h0, k1, t * k1 + k0
+
+
+def _floor_inputs():
+    """Seeded (a, b, F) triples for the floor oracle comparisons."""
+    rng = random.Random(6101)
+    for _ in range(600):
+        yield (Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 60)),
+               Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 4),
+                        rng.randint(1, 60)),
+               Fraction(rng.randint(0, 300), rng.randint(1, 40)))
+    for _ in range(100):   # square radicands fold to rationals; F = 0
+        root = Fraction(rng.randint(0, 50), rng.randint(1, 12))
+        yield (Fraction(rng.randint(-999, 999), rng.randint(1, 9)),
+               Fraction(rng.randint(-99, 99), rng.randint(1, 9)), root * root)
+    for _ in range(200):   # numerators near 10^30
+        big = 10 ** 30 + rng.randint(-10 ** 6, 10 ** 6)
+        yield (Fraction(rng.choice((-1, 1)) * big, rng.randint(1, 10 ** 3)),
+               Fraction(rng.choice((-1, 1)) * big, rng.randint(1, 10 ** 24)),
+               Fraction(rng.randint(2, 10 ** 4), rng.randint(1, 97)))
+    count = 0
+    while count < 200:     # within 10^-12 of an integer: a = m - b * (h/k)
+        n, s = rng.randint(2, 500), rng.randint(1, 7)
+        if isqrt(n * s) ** 2 == n * s:
+            continue
+        conv = _sqrt_convergent(n, s, 10 ** 9)
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 9))
+        m = rng.randint(-10 ** 4, 10 ** 4)
+        a, f = m - b * conv, Fraction(n, s)
+        tiny = Fraction(1, 10 ** 12)
+        assert sign_a_plus_b_sqrt(a - m - tiny, b, f) < 0
+        assert sign_a_plus_b_sqrt(a - m + tiny, b, f) > 0
+        yield a, b, f
+        count += 1
+
+
+def test_quad_floor_matches_bisection_oracle():
+    for a, b, f in _floor_inputs():
+        expected = floor_a_plus_b_sqrt(a, b, f)
+        assert QuadNumber(a, b, f).floor() == expected, (a, b, f)
+        assert (-QuadNumber(a, b, f)).floor() == floor_a_plus_b_sqrt(-a, -b, f)
+
+
+def test_svg_sqrt_trunc_matches_bisection_oracle():
+    rng = random.Random(6102)
+    qs = [Fraction(0), Fraction(1), Fraction(1, 4), Fraction(2)]
+    qs += [Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 3))
+           for _ in range(300)]
+    qs += [Fraction(rng.randint(1, 99), rng.randint(1, 9)) ** 2
+           for _ in range(50)]
+    for _ in range(100):   # sqrt(q) * 10^6 at or next to an integer
+        edge = Fraction(rng.randint(1, 10 ** 9), 10 ** 6) ** 2
+        qs += [edge, edge - Fraction(1, 10 ** 30), edge + Fraction(1, 10 ** 30)]
+    for q in qs:
+        expected = Fraction(floor_a_plus_b_sqrt(0, 10 ** 6, q), 10 ** 6)
+        assert _sqrt_trunc(q) == expected, q
 
 
 def test_quad_text_formatter():

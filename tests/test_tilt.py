@@ -9,8 +9,11 @@ from kustab.exact import DomainError, QuadNumber
 from kustab.tilt import (TiltParams, alpha_range, blms_check, charge_h,
                          charge_tilt, discriminant_h, heart_case, slope_h,
                          slope_tilt, zero_charge_class)
-from kustab.variety import (ChernVector, SPINOR_CLASS, euler_pairing,
-                            exp_twist, get_preset, line_bundle_class)
+from kustab.variety import (PRESETS, SPINOR_CLASS, SPINOR_VARIETIES,
+                            ChernVector, euler_pairing, exp_twist, get_preset,
+                            line_bundle_class)
+
+from oracles import tilt_re_im
 
 Q3 = get_preset("q3")
 Y4 = get_preset("y4")
@@ -159,6 +162,63 @@ def test_heart_case_mutual_exclusion():
         assert len(cases) == len(set(cases))
 
 
+# (shift of the sheaf, mu_H > beta, mu_tilt > mu) -> case, as in the paper
+PAPER_CASES = {(0, True, True): 1, (1, False, True): 2,
+               (1, True, False): 3, (2, False, False): 4}
+# the checks reported at each shift when no case holds
+FALLBACK_CHECKS = {0: ("mu_H > beta", "mu_tilt > mu"),
+                   1: ("mu_H <= beta", "mu_tilt > mu"),
+                   2: ("mu_H <= beta", "mu_tilt <= mu")}
+
+
+def _oracle_heart(x, v, shift, alpha, beta, mu):
+    """(case_id, ((check name, satisfied), ...)) from oracle slopes."""
+    re, im_over_alpha = tilt_re_im(x.degree, v[0], v[1], v[2],
+                                   alpha * alpha, beta)
+    truth = {
+        "mu_H > beta": v[0] == 0 or v[1] / v[0] > beta,   # mu_H = +inf at rank 0
+        "mu_tilt > mu": im_over_alpha == 0 or -re / (alpha * im_over_alpha) > mu,
+    }
+    truth["mu_H <= beta"] = not truth["mu_H > beta"]
+    truth["mu_tilt <= mu"] = not truth["mu_tilt > mu"]
+    case = PAPER_CASES.get(
+        (shift, truth["mu_H > beta"], truth["mu_tilt > mu"]))
+    if case is None:
+        names = FALLBACK_CHECKS[shift]
+    else:
+        names = ("mu_H > beta" if case in (1, 3) else "mu_H <= beta",
+                 "mu_tilt > mu" if case in (1, 2) else "mu_tilt <= mu")
+    return case, tuple((n, truth[n]) for n in names)
+
+
+def test_heart_case_matches_case_oracle():
+    alphas = (Fraction(1, 8), Fraction(1, 2), Fraction(1), Fraction(5, 2))
+    mus = (Fraction(-2), Fraction(0), Fraction(3, 4), Fraction(5))
+    for key, x in PRESETS.items():
+        tail = [Fraction(0)] * (x.dim - 2)
+        classes = [line_bundle_class(x, k) for k in range(-3, 4)]
+        if key in SPINOR_VARIETIES:
+            classes.append(SPINOR_CLASS)
+        classes += [ChernVector([0, 1, 0] + tail),        # rank 0: mu_H = inf
+                    ChernVector([0, -2, Fraction(1, 2)] + tail),
+                    ChernVector([0, 0, 1] + tail)]         # tilt slope inf too
+        for v in classes:
+            betas = {Fraction(b, 2) for b in range(-5, 4)}
+            if v[0] != 0:
+                betas.add(v[1] / v[0])                    # tilt slope = +inf
+            for beta in sorted(betas):
+                for alpha in alphas:
+                    for mu in mus:
+                        p = TiltParams(alpha=alpha, beta=beta, mu=mu)
+                        for shift in (0, 1, 2):
+                            got = heart_case(x, v, shift, p)
+                            case, checks = _oracle_heart(x, v, shift, alpha,
+                                                         beta, mu)
+                            assert got.case_id == case, (key, v, shift, p)
+                            assert tuple((c.name, c.satisfied)
+                                         for c in got.slope_checks) == checks
+
+
 def test_zero_charge_class():
     assert zero_charge_class(Q3, ChernVector([0, 0, 0, Fraction(1, 12)]))
     assert not zero_charge_class(Q3, line_bundle_class(Q3, 0))
@@ -230,9 +290,23 @@ def test_alpha_range_half_closed_endpoint():
 
 
 def test_alpha_range_matches_sampled_blms():
-    ivs = alpha_range(Q3, members(Q3), Fraction(-1, 2))
-    for k in range(1, 21):
-        alpha = Fraction(k, 20)
-        p = TiltParams(alpha=alpha, beta=Fraction(-1, 2))
-        passed = blms_check(Q3, members(Q3), p).passed
-        assert passed == any(iv.contains(alpha) for iv in ivs)
+    # p4 is left out: its Serre shift of 3 is outside the double tilt
+    step, eps = Fraction(1, 4), Fraction(1, 1000)
+    for x in (Q3, Y4, get_preset("y2")):
+        block = members(x)
+        subs = [block[i:j] for i in range(len(block))
+                for j in range(i + 1, len(block) + 1)]
+        for mem in subs:
+            for b in range(-16, 13):
+                beta = b * step
+                ivs = alpha_range(x, mem, beta)
+                ends = {iv.hi.rational_value() for iv in ivs}
+                alphas = {Fraction(1, 8), Fraction(1, 2), Fraction(1),
+                          Fraction(2), Fraction(4)}
+                alphas |= {e + d for e in ends | {Fraction(0)}
+                           for d in (-eps, 0, eps)}
+                for alpha in sorted(a for a in alphas if a > 0):
+                    p = TiltParams(alpha=alpha, beta=beta)
+                    passed = blms_check(x, mem, p).passed
+                    assert passed == any(iv.contains(alpha) for iv in ivs), (
+                        x.name, mem, beta, alpha)
