@@ -21,18 +21,27 @@ from .exact import DomainError, rat
 from .variety import PRESETS, VarietyDesc
 
 
+def _integer(value, field: str) -> int:
+    # JSON floats and booleans are refused; strings still go through int()
+    if isinstance(value, (bool, float)):
+        raise DomainError(f"config field {field} must be an integer")
+    return int(value)
+
+
 def variety_from_dict(rec: dict) -> VarietyDesc:
+    if not isinstance(rec, dict):
+        raise DomainError("config variety entry must be an object")
     flag = rec.get("low_deg_H_generated", True)
     if not isinstance(flag, bool):
         raise DomainError("config field low_deg_H_generated must be a boolean")
     try:
         return VarietyDesc(
             name=str(rec["name"]),
-            dim=int(rec["dim"]),
-            degree=int(rec["degree"]),
-            index=int(rec["index"]),
+            dim=_integer(rec["dim"], "dim"),
+            degree=_integer(rec["degree"], "degree"),
+            index=_integer(rec["index"], "index"),
             todd=tuple(rat(t) for t in rec["todd"]),
-            denoms=tuple(int(d) for d in rec["denoms"]),
+            denoms=tuple(_integer(d, "denoms") for d in rec["denoms"]),
             low_deg_H_generated=flag)
     except KeyError as exc:
         raise DomainError(f"config variety missing field {exc}") from None

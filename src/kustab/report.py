@@ -7,7 +7,6 @@ to special-case integers.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .exact import QuadNumber
@@ -19,7 +18,7 @@ def fmt_rat_json(q: Fraction) -> str:
 
 
 def to_jsonable(obj):
-    """Recursively convert exact values and dataclasses to JSON-safe data."""
+    """Recursively convert exact values and containers to JSON-safe data."""
     if isinstance(obj, Fraction):
         return fmt_rat_json(obj)
     if isinstance(obj, QuadNumber):
@@ -27,9 +26,6 @@ def to_jsonable(obj):
                 "radicand": fmt_rat_json(obj.F)}
     if isinstance(obj, ChernVector):
         return [fmt_rat_json(c) for c in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

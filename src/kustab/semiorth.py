@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import DomainError, RatMatrix, hnf_rows, kernel_basis
-from .variety import (ChernVector, VarietyDesc, euler_pairing,
-                      from_lattice_coords, in_lattice, serre_inverse_class,
-                      to_lattice_coords)
+from .variety import (ChernVector, VarietyDesc, _pairing_matrix, _serre_matrix,
+                      euler_pairing, from_lattice_coords, in_lattice,
+                      serre_inverse_class, to_lattice_coords)
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,10 @@ class FullnessVerdict:
 
 def is_numerically_exceptional(c: Collection) -> bool:
     """chi(E_i, E_i) = 1 and chi(E_j, E_i) = 0 for j > i."""
-    x = c.variety
-    for i, ei in enumerate(c.members):
-        if euler_pairing(x, ei, ei) != 1:
-            return False
-        for j in range(i + 1, len(c.members)):
-            if euler_pairing(x, c.members[j], ei) != 0:
-                return False
-    return True
+    g = _pairing_matrix(c.variety, c.members, c.members)
+    m = len(c)
+    return all(g[i, i] == 1 and all(g[j, i] == 0 for j in range(i + 1, m))
+               for i in range(m))
 
 
 def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
@@ -81,14 +77,8 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     # functional matrix: row i, column j = chi(E_i, H^j / lambda_j)
     gens = [ChernVector([Fraction(int(i == j), x.denoms[j]) for i in range(n + 1)])
             for j in range(n + 1)]
-    rows = [[euler_pairing(x, e, g) for g in gens] for e in c.members]
     return [from_lattice_coords(x, k)
-            for k in kernel_basis(RatMatrix.from_rows(rows))]
-
-
-def _collection_gram(x: VarietyDesc, c: Collection) -> RatMatrix:
-    return RatMatrix.from_rows(
-        [[euler_pairing(x, ej, ei) for ei in c.members] for ej in c.members])
+            for k in kernel_basis(_pairing_matrix(x, c.members, gens))]
 
 
 def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
@@ -101,7 +91,7 @@ def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
     x.check_class(v)
     if not c.members:
         return v
-    gram = _collection_gram(x, c)
+    gram = _pairing_matrix(x, c.members, c.members)
     rhs = [euler_pairing(x, ej, v) for ej in c.members]
     try:
         coeffs = gram.solve(rhs)
@@ -120,30 +110,30 @@ def is_residual(x: VarietyDesc, c: Collection, v: ChernVector) -> bool:
 
 def serre_on_residual(x: VarietyDesc, c: Collection,
                       basis: list[ChernVector] | None = None) -> RatMatrix:
-    """Matrix of the induced Serre action on the residual lattice.
+    """Matrix of the induced Serre action on the residual lattice A.
 
-    The inverse Serre functor of the residual category is the numerical
-    projection composed with the ambient inverse Serre action; the induced
-    Serre action is the inverse of that map, expressed in the given basis
-    (by default the canonical one).
+    In the given basis of A (by default the canonical one) it is G^-1 G^T,
+    where G is the Gram matrix chi(b_i, b_j) of the basis.  The inverse
+    Serre functor of the residual category is T = P . S^-1, the projection
+    after the ambient inverse Serre action; for v, w in A the difference
+    P S^-1 v - S^-1 v lies in span(E), which pairs to 0 with A on the left,
+    so T^T G = G^T and T^-1 = G^-1 G^T.
+
+    An empty basis gives the empty matrix.  Otherwise DomainError
+    "degenerate collection pairing" is raised when the members are
+    dependent (the ranks do not add up to dim + 1) or G is singular.
     """
     if basis is None:
         basis = right_orthogonal(x, c)
     if not basis:
         return RatMatrix.from_rows([])
-    # columns of T = coordinates of (project . serre^-1)(basis vector)
-    bmat = RatMatrix.from_rows(
-        [[b[i] for b in basis] for i in range(x.dim + 1)])
-    cols = []
-    for b in basis:
-        img = sod_project(x, c, serre_inverse_class(x, b))
-        try:
-            cols.append(bmat.solve(img))
-        except DomainError:
-            raise DomainError("class not in residual span") from None
-    t = RatMatrix.from_rows(
-        [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))])
-    return t.inverse()
+    if len(basis) + len(c) != x.dim + 1:    # the members are dependent
+        raise DomainError("degenerate collection pairing")
+    g = _pairing_matrix(x, basis, basis)
+    try:
+        return _serre_matrix(g)
+    except DomainError:
+        raise DomainError("degenerate collection pairing") from None
 
 
 def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport:
@@ -196,7 +186,7 @@ def fullness_report(x: VarietyDesc, c: Collection,
         if not is_residual(x, c, g):
             raise DomainError("generator not in residual lattice")
     exceptional = is_numerically_exceptional(c)
-    res_rows = hnf_rows([to_lattice_coords(x, b) for b in residual])
+    res_rows = [to_lattice_coords(x, b) for b in residual]   # already HNF
     gen_rows = hnf_rows([to_lattice_coords(x, g) for g in residual_gens])
     spans = gen_rows == res_rows
     checks = (

@@ -305,42 +305,24 @@ class AlphaInterval:
 def alpha_range(x: VarietyDesc, members, beta) -> list[AlphaInterval]:
     """Exact set of alpha > 0 where blms_check passes, at fixed beta.
 
-    Every alpha-dependent condition is a quadratic inequality in alpha with
-    rational coefficients; each is solved exactly (the threshold sqrt(T) is
-    rational whenever T is a rational square) and the one-sided solution
-    sets are intersected.  Constant conditions can empty the range.
+    For each member O(k) the heart conditions are constant in alpha apart
+    from two bounds linear in beta: alpha < k - beta (case 1 of O(k) at
+    shift 0) and alpha <= beta - (k - r) (case 4 of O(k - r)[n - 1]), so
+    the range is (0, hi) or (0, hi] with hi their minimum, closed unless a
+    strict bound attains it; no square-root threshold occurs.  The range is
+    empty when some k <= beta or k - r >= beta (at equality the tilt slope
+    of the Serre image is +infinity), or when condition (3) fails.
     """
     be = rat(beta)
     ks = _line_bundle_degrees(x, members)
-    serre_shift = x.dim - 1
-    if ks and serre_shift not in (0, 1, 2):
+    if ks and x.dim - 1 not in (0, 1, 2):
         raise DomainError("shift out of range for double tilt")
-    hi: QuadNumber | None = None
-    hi_open = True
-
-    def tighten(bound: QuadNumber, strict: bool):
-        nonlocal hi, hi_open
-        if hi is None or bound < hi:
-            hi, hi_open = bound, strict
-        elif bound == hi:
-            hi_open = hi_open or strict
-
-    for k in ks:
-        # member at shift 0, case 1: mu_H > beta and alpha < k - beta
-        if not Fraction(k) > be:
-            return []
-        tighten(QuadNumber(Fraction(k) - be), True)
-        # Serre side at shift n-1, case 4: mu_H <= beta and alpha <= beta - (k-r)
-        m = k - x.index
-        if not Fraction(m) <= be:
-            return []
-        if Fraction(m) == be:
-            return []   # tilt slope is +infinity, never <= 0
-        tighten(QuadNumber(be - m), False)
-        # charges of both objects have Im = alpha (k' - beta) d != 0 here
+    if any(k <= be or k - x.index >= be for k in ks):
+        return []
     if not _zero_charge_pairing(x):     # flag unset, or the pairing is 0
         return []
-    if hi is not None and hi <= 0:
-        return []
-    return [AlphaInterval(lo=QuadNumber(0), hi=hi, lo_open=True,
-                          hi_open=hi_open)]
+    strict = [k - be for k in ks]
+    hi = min(strict + [be - k + x.index for k in ks], default=None)
+    return [AlphaInterval(lo=QuadNumber(0),
+                          hi=None if hi is None else QuadNumber(hi),
+                          hi_open=hi is None or hi in strict)]

@@ -202,10 +202,25 @@ def gram_matrix(x: VarietyDesc, convention: str = "chi") -> RatMatrix:
     n = x.dim
     basis = [ChernVector([Fraction(i == k) for i in range(n + 1)])
              for k in range(n + 1)]
-    rows = [[euler_pairing(x, bi, bj) for bj in basis] for bi in basis]
+    g = _pairing_matrix(x, basis, basis)
     if convention == "paper":
-        rows = [[e / x.degree for e in row] for row in rows]
-    return RatMatrix.from_rows(rows)
+        g = RatMatrix.from_rows([[e / x.degree for e in row] for row in g.entries])
+    return g
+
+
+def _pairing_matrix(x: VarietyDesc, rows, cols) -> RatMatrix:
+    # entry (i, j) = chi(rows[i], cols[j]); every pairing matrix is built here
+    return RatMatrix.from_rows(
+        [[euler_pairing(x, r, c) for c in cols] for r in rows])
+
+
+def _serre_matrix(g: RatMatrix) -> RatMatrix:
+    # S with chi(v, S w) = chi(w, v) on the basis whose pairing matrix is g
+    try:
+        ginv = g.inverse()
+    except DomainError:
+        raise DomainError("degenerate pairing") from None
+    return ginv @ g.transpose()
 
 
 def serre_class(x: VarietyDesc, v: ChernVector) -> ChernVector:
@@ -226,12 +241,7 @@ def serre_numeric(x: VarietyDesc) -> RatMatrix:
     {1, H, ..., H^n}; the two constructions agreeing is a standing
     consistency check in the test suite.
     """
-    g = gram_matrix(x, "chi")
-    try:
-        ginv = g.inverse()
-    except DomainError:
-        raise DomainError("degenerate pairing") from None
-    return ginv @ g.transpose()
+    return _serre_matrix(gram_matrix(x))
 
 
 def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:

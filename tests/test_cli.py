@@ -190,6 +190,31 @@ def test_config_flag_must_be_boolean(tmp_path, capsys):
         assert out.startswith("error: ") and "low_deg_H_generated" in out
 
 
+def test_config_integer_fields_reject_floats_and_booleans(tmp_path, capsys):
+    rec = {"name": "X", "dim": 3, "degree": 2, "index": 3,
+           "todd": ["1", "3/2", "13/12", "1/2"], "denoms": [1, 1, 2, 12]}
+    cfg = tmp_path / "cfg.json"
+    argv = ["chi", "--variety", "x", "O", "O(1)", "--config", str(cfg)]
+    cfg.write_text(json.dumps({"varieties": [rec]}))
+    assert invoke(capsys, *argv) == (0, "command: chi\nvariety: X\n"
+                                     "lhs: 1,0,0,0\nrhs: 1,1,1/2,1/6\nchi: 5\n")
+    for field, bad in (("dim", 3.0), ("degree", 2.9), ("index", True),
+                       ("denoms", [1, 1, 2.5, 12]), ("denoms", [1, 1, 2, False])):
+        cfg.write_text(json.dumps({"varieties": [dict(rec, **{field: bad})]}))
+        code, out = invoke(capsys, *argv)
+        assert code == 3, (field, bad)
+        assert out == f"error: config field {field} must be an integer\n"
+
+
+def test_config_variety_entry_must_be_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for entry in ("X", 3, ["X"], None):
+        cfg.write_text(json.dumps({"varieties": [entry]}))
+        code, out = invoke(capsys, "chi", "O", "O", "--config", str(cfg))
+        assert code == 3, entry
+        assert out == "error: config variety entry must be an object\n"
+
+
 def test_output_independent_of_hash_seed():
     src = str(Path(__file__).resolve().parent.parent / "src")
     commands = (["classify", "S", "--json"], ["orth"], ["fullness"],

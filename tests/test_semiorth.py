@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kustab.exact import DomainError, hnf_rows
+from kustab.exact import DomainError, RatMatrix, hnf_rows
 from kustab.semiorth import (Collection, classify_class, fullness_report,
                              is_numerically_exceptional, right_orthogonal,
                              serre_on_residual, sod_project)
@@ -229,6 +229,67 @@ def test_fullness_nonspanning_generators():
     assert ("generators span residual lattice", False) in verdict.checks
 
 
+def test_fullness_rank_two_residual_any_z_basis():
+    for x in (Y4, Y2):
+        b0, b1 = right_orthogonal(x, block(x))
+        for gens, verdict in (([b1, b0 + b1], "full-modulo-phantoms-excluded"),
+                              ([2 * b0, b1], "inconclusive")):
+            assert fullness_report(x, block(x), gens, True).verdict == verdict
+
+
 def test_fullness_rejects_non_residual_generator():
     with pytest.raises(DomainError, match="generator not in residual"):
         fullness_report(Q3, block(Q3), [line_bundle_class(Q3, 0)], True)
+
+
+def _collections():
+    # every preset's blocks O(a), ..., O(a+m-1), then seeded random lattice
+    # collections, a fifth of them with a repeated member
+    for x in (Q3, P4, Y4, Y2):
+        for a in range(-3, 5):
+            for m in range(1, x.index + 1):
+                yield Collection(variety=x, members=tuple(
+                    line_bundle_class(x, a + i) for i in range(m)))
+    rng = random.Random(4711)
+    for _ in range(150):
+        x = rng.choice((Q3, P4, Y4, Y2))
+        mem = [ChernVector([Fraction(rng.randint(-2, 2), d) for d in x.denoms])
+               for _ in range(rng.randint(1, x.dim))]
+        if rng.random() < 0.2:
+            mem.append(rng.choice(mem))
+        yield Collection(variety=x, members=tuple(mem))
+
+
+def test_serre_on_residual_matches_projection_oracle():
+    for c in _collections():
+        x, mem = c.variety, c.members
+        pairwise = (all(euler_pairing(x, e, e) == 1 for e in mem)
+                    and all(euler_pairing(x, mem[j], mem[i]) == 0
+                            for i in range(len(mem))
+                            for j in range(i + 1, len(mem))))
+        assert is_numerically_exceptional(c) == pairwise, mem
+        basis = right_orthogonal(x, c)
+        if not basis:
+            assert serre_on_residual(x, c).entries == ()
+            continue
+        try:
+            sod_project(x, c, line_bundle_class(x, 0))
+        except DomainError as exc:
+            assert str(exc) == "degenerate collection pairing"
+            with pytest.raises(DomainError, match="degenerate collection pairing"):
+                serre_on_residual(x, c)
+            continue
+        s = serre_on_residual(x, c)
+        # oracle: T has the basis coordinates of P(S^-1 b) as columns
+        bmat = RatMatrix.from_rows(
+            [[b[i] for b in basis] for i in range(x.dim + 1)])
+        cols = [bmat.solve(sod_project(x, c, serre_inverse_class(x, b)))
+                for b in basis]
+        t = RatMatrix.from_rows(zip(*cols))
+        assert s @ t == RatMatrix.identity(len(basis)), mem
+        for j, bj in enumerate(basis):
+            sbj = ChernVector([Fraction(0)] * (x.dim + 1))
+            for k, bk in enumerate(basis):
+                sbj = sbj + s[k, j] * bk
+            for bi in basis:
+                assert euler_pairing(x, bi, sbj) == euler_pairing(x, bj, bi)

@@ -1,5 +1,6 @@
 """Charges, slopes, discriminant, heart membership, induced stability."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -291,16 +292,20 @@ def test_alpha_range_half_closed_endpoint():
 
 def test_alpha_range_matches_sampled_blms():
     # p4 is left out: its Serre shift of 3 is outside the double tilt
+    # the empty collection has range (0, inf); the flag-off variety has none
     step, eps = Fraction(1, 4), Fraction(1, 1000)
-    for x in (Q3, Y4, get_preset("y2")):
+    flag_off = dataclasses.replace(Q3, low_deg_H_generated=False)
+    for x in (Q3, Y4, get_preset("y2"), flag_off):
         block = members(x)
         subs = [block[i:j] for i in range(len(block))
-                for j in range(i + 1, len(block) + 1)]
+                for j in range(i + 1, len(block) + 1)] + [()]
         for mem in subs:
             for b in range(-16, 13):
                 beta = b * step
                 ivs = alpha_range(x, mem, beta)
-                ends = {iv.hi.rational_value() for iv in ivs}
+                ends = {iv.hi.rational_value() for iv in ivs
+                        if iv.hi is not None}
+                assert all(e > 0 for e in ends), (x.name, mem, beta)
                 alphas = {Fraction(1, 8), Fraction(1, 2), Fraction(1),
                           Fraction(2), Fraction(4)}
                 alphas |= {e + d for e in ends | {Fraction(0)}
@@ -310,3 +315,6 @@ def test_alpha_range_matches_sampled_blms():
                     passed = blms_check(x, mem, p).passed
                     assert passed == any(iv.contains(alpha) for iv in ivs), (
                         x.name, mem, beta, alpha)
+    assert [iv.text() for iv in alpha_range(Q3, (), 0)] == ["(0, inf)"]
+    assert alpha_range(Q3, members(Q3), Fraction(-1, 2)) != []
+    assert alpha_range(flag_off, members(Q3), Fraction(-1, 2)) == []
