@@ -306,23 +306,29 @@ def alpha_range(x: VarietyDesc, members, beta) -> list[AlphaInterval]:
     """Exact set of alpha > 0 where blms_check passes, at fixed beta.
 
     For each member O(k) the heart conditions are constant in alpha apart
-    from two bounds linear in beta: alpha < k - beta (case 1 of O(k) at
-    shift 0) and alpha <= beta - (k - r) (case 4 of O(k - r)[n - 1]), so
-    the range is (0, hi) or (0, hi] with hi their minimum, closed unless a
-    strict bound attains it; no square-root threshold occurs.  The range is
-    empty when some k <= beta or k - r >= beta (at equality the tilt slope
-    of the Serre image is +infinity), or when condition (3) fails.
+    from bounds linear in beta, so no square-root threshold occurs.  O(k) at
+    shift 0 (case 1) needs k > beta and alpha < k - beta.  The Serre image
+    O(j)[n - 1], j = k - r, needs on a threefold (case 4) j < beta and
+    alpha <= beta - j; on a surface it needs alpha > beta - j when j < beta
+    (case 2), alpha >= j - beta when j > beta (case 3), and nothing when
+    j = beta (the tilt slope is +infinity).  The range runs from the largest
+    lower to the smallest upper bound, open at a strict one; it is empty
+    when they cross or condition (3) fails.
     """
     be = rat(beta)
     ks = _line_bundle_degrees(x, members)
     if ks and x.dim - 1 not in (0, 1, 2):
         raise DomainError("shift out of range for double tilt")
-    if any(k <= be or k - x.index >= be for k in ks):
+    js, surface = [k - x.index for k in ks], x.dim == 2
+    if (any(k <= be for k in ks) or not surface and any(j >= be for j in js)
+            or not _zero_charge_pairing(x)):
         return []
-    if not _zero_charge_pairing(x):     # flag unset, or the pairing is 0
+    strict_lo = [Fraction(0)] + [be - j for j in js if surface and j < be]
+    lo = max(strict_lo + [j - be for j in js if surface and j > be])
+    strict_hi = [k - be for k in ks]
+    hi = min(strict_hi + [be - j for j in js if not surface], default=None)
+    if hi is not None and lo >= hi:     # a closed end only meets a strict one
         return []
-    strict = [k - be for k in ks]
-    hi = min(strict + [be - k + x.index for k in ks], default=None)
-    return [AlphaInterval(lo=QuadNumber(0),
+    return [AlphaInterval(lo=QuadNumber(lo), lo_open=lo in strict_lo,
                           hi=None if hi is None else QuadNumber(hi),
-                          hi_open=hi is None or hi in strict)]
+                          hi_open=hi is None or hi in strict_hi)]

@@ -18,17 +18,27 @@ beta_0 w_1 - beta_0^2 w_0 / 2, above when v_0 w_1 - v_1 w_0 > 0 and below
 when it is negative.  The no-wall certificate settles the rational-beta_0
 case by a gcd computation on the value set; wall_scan enumerates the finite
 set of candidate classes passing all filters inside given rank bounds.
+
+The scan runs in integers.  With M the lcm of the denominators of v_0, v_1,
+v_2, V_i = M v_i and N = V_1^2 - 2 V_0 V_2 > 0, beta_0 = (V_1 - sqrt(N))/V_0
+and bound / degree = sqrt(N) / M.  For w = (k_0/lam_0, k_1/lam_1, k_2/lam_2)
+each bound above, scaled to k_1 or k_2, is one floor of (A + B sqrt(N)) / C
+with integers A, B, C: _qfloor, or a plain division for the B = 0 of the
+two discriminants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .exact import DomainError, QuadNumber, rat
 from .variety import (ChernVector, VarietyDesc, _degree_numbers,
                       _lattice_integral)
+
+
+_VIOLATION_RANK = 8     # rows |c0| <= 8 searched by first_interval_violation
 
 
 @dataclass(frozen=True)
@@ -108,21 +118,23 @@ def nowall_certificate(x: VarietyDesc, v: ChernVector) -> NoWallCertificate | No
     return None
 
 
-def first_interval_violation(x: VarietyDesc, v: ChernVector, limit: int = 8):
+def first_interval_violation(x: VarietyDesc, v: ChernVector):
     """A lattice pair (c0, c1) whose beta_0 value falls in (0, bound), if any.
 
-    Used to report why a certificate does not exist.  Returns
-    (c0, c1, value) or None when the bounded search finds nothing.
+    Used to report why a certificate does not exist.  Searches the rows
+    |c0| <= _VIOLATION_RANK in the order 0, 1, -1, 2, -2, ... and returns
+    (c0, c1, value) or None when it finds nothing.
     """
     bz = beta_zero(x, v)
+    line = _integer_line(v)
+    lam0, lam1 = x.denoms[0], x.denoms[1]
     order = [0]
-    for k in range(1, limit * x.denoms[0] + 1):
+    for k in range(1, _VIOLATION_RANK * lam0 + 1):
         order.extend([k, -k])
     for k0 in order:
-        c0w = Fraction(k0, x.denoms[0])
-        k1, k1_max = _interval_k1(x, bz, c0w)
+        k1, k1_max = _k1_range(x.denoms, line, k0)
         if k1 <= k1_max:
-            c1w = Fraction(k1, x.denoms[1])
+            c0w, c1w = Fraction(k0, lam0), Fraction(k1, lam1)
             value = (QuadNumber(c1w) - bz.beta0 * c0w) * x.degree
             return c0w, c1w, value
     return None
@@ -167,64 +179,60 @@ def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
     return WallCircle(kind="empty", witnesses=(w,))
 
 
-def _grid_floor(bound, lam: int, strict: bool) -> int:
-    """Largest k with k/lam < bound (strict) or <= bound."""
-    t = (bound if isinstance(bound, QuadNumber) else QuadNumber(bound)) * lam
-    f = t.floor()
-    return f - 1 if strict and t.is_rational and t.a == f else f
+def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:
+    """Largest k < (a + b sqrt(n)) / c, or k <= it if not strict; c > 0, s = isqrt(n)."""
+    if b == 0 or s * s == n:
+        q, r = divmod(a + b * s, c)
+        return q - 1 if strict and r == 0 else q
+    r = isqrt(b * b * n)    # floor(b sqrt(n)) is r, or -r - 1 for b < 0
+    return (a + r) // c if b > 0 else (a - r - 1) // c
 
 
-def _grid_ceil(bound, lam: int, strict: bool) -> int:
-    """Smallest k with k/lam > bound (strict) or >= bound."""
-    return -_grid_floor(-bound, lam, strict)
+def _integer_line(v: ChernVector) -> tuple[int, ...]:
+    """(M, V0, V1, V2, N, isqrt(N)) of the module docstring."""
+    m = lcm(*(c.denominator for c in v.coeffs[:3]))
+    v0, v1, v2 = (c.numerator * (m // c.denominator) for c in v.coeffs[:3])
+    n = v1 * v1 - 2 * v0 * v2
+    return m, v0, v1, v2, n, isqrt(n)
 
 
-def _interval_k1(x, bz, c0w):
-    """(k1_lo, k1_hi): the k1 whose (c0w, k1/lam1) has value in (0, bound)."""
-    lo, lam1 = bz.beta0 * c0w, x.denoms[1]
-    return (_grid_ceil(lo, lam1, strict=True),
-            _grid_floor(lo + bz.bound / x.degree, lam1, strict=True))
+def _k1_range(denoms, line, k0: int) -> tuple[int, int]:
+    """(k1_lo, k1_hi): the k1 whose (k0/lam0, k1/lam1) has value in (0, bound)."""
+    lam0, lam1 = denoms[0], denoms[1]
+    m, v0, v1, _, n, s = line
+    a, c = lam1 * k0 * m * v1, v0 * lam0 * m
+    return (-_qfloor(-a, lam1 * k0 * m, c, n, s, True),
+            _qfloor(a, lam1 * (v0 * lam0 - k0 * m), c, n, s, True))
 
 
-def _scan_cell(x, v, bz, c0w, c1w):
-    """Candidate walls for one (c0, c1) lattice cell, as (key, witness) pairs.
-
-    The cell's admissible c2 values form a finite exact interval cut out by
-    the two discriminant filters and the beta_0 crossing condition; each
-    surviving class contributes its circle.
-    """
-    lam2 = x.denoms[2]
-    va0, va1, va2 = v[0], v[1], v[2]
-    direction = va0 * c1w - va1 * c0w
+def _k2_range(denoms, line, k0: int, k1: int) -> range:
+    """The k2 of the cell (k0, k1) that pass all three c2 filters."""
+    lam0, lam1, lam2 = denoms[0], denoms[1], denoms[2]
+    m, v0, v1, v2, n, s = line
+    direction = v0 * lam0 * k1 - v1 * lam1 * k0
     if direction == 0:
-        return []    # vertical or degenerate direction, never crosses beta_0
-    lowers: list[tuple] = []
-    uppers: list[tuple] = []
-    if c0w > 0:
-        uppers.append((c1w * c1w / (2 * c0w), False))
-    elif c0w < 0:
-        lowers.append((c1w * c1w / (2 * c0w), False))
-    u0, u1 = va0 - c0w, va1 - c1w
-    if u0 > 0:
-        lowers.append((va2 - u1 * u1 / (2 * u0), False))
-    elif u0 < 0:
-        uppers.append((va2 - u1 * u1 / (2 * u0), False))
-    # ch_2^{beta_0}(v) = 0 leaves alpha^2 direction / 2 = -ch_2^{beta_0}(w)
-    # v_0 sqrt(F) at beta_0: c2 < or > beta_0 c1 - beta_0^2 c0 / 2 by its sign
-    threshold = bz.beta0 * (c1w - bz.beta0 * (c0w / 2))
-    (uppers if direction > 0 else lowers).append((threshold, True))
+        return range(0)    # vertical or degenerate direction, never crosses beta_0
+    u0, u1 = v0 * lam0 - m * k0, v1 * lam1 - m * k1
+    lowers: list[int] = []
+    uppers: list[int] = []
+    # Delta(w) and Delta(v - w) as num / den: an upper bound when den > 0
+    for num, den in ((lam2 * lam0 * k1 * k1, 2 * lam1 * lam1 * k0),
+                     (lam2 * (u1 * u1 * lam0 - 2 * v2 * lam1 * lam1 * u0),
+                      -2 * m * lam1 * lam1 * u0)):
+        if den > 0:
+            uppers.append(num // den)
+        elif den < 0:
+            lowers.append(-(-num // den))
+    # crossing, strict: lam2 (beta_0 c1 - beta_0^2 c0 / 2) = (a + b sqrt(N)) / c
+    a = lam2 * (2 * v0 * lam0 * v1 * k1 - (v1 * v1 + n) * k0 * lam1)
+    b, c = -2 * lam2 * direction, 2 * v0 * v0 * lam0 * lam1
+    if direction > 0:
+        uppers.append(_qfloor(a, b, c, n, s, True))
+    else:
+        lowers.append(-_qfloor(-a, -b, c, n, s, True))
     if not lowers or not uppers:
         raise DomainError("unbounded candidate range")
-    k_lo = max(_grid_ceil(b, lam2, strict) for b, strict in lowers)
-    k_hi = min(_grid_floor(b, lam2, strict) for b, strict in uppers)
-    out = []
-    for k2 in range(k_lo, k_hi + 1):
-        w = ChernVector([c0w, c1w, Fraction(k2, lam2)])
-        circle = wall_circle(x, v.truncated(2), w)
-        if circle.kind != "circle":
-            continue
-        out.append(((circle.center_beta, circle.radius_sq), w))
-    return out
+    return range(max(lowers), min(uppers) + 1)
 
 
 def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCircle]:
@@ -238,21 +246,25 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     sorted by center then radius.  An empty result is consistent with a
     no-wall certificate; a nonempty one lists candidates, not proven walls.
     """
-    bz = beta_zero(x, v)
+    beta_zero(x, v)     # validates the class
     max_rank, max_c1 = rat(max_rank), rat(max_c1)
     if max_rank < 0 or max_c1 < 0:
         raise DomainError("negative scan bound")
-    lam0, lam1 = x.denoms[0], x.denoms[1]
+    lam0, lam1, lam2 = x.denoms[0], x.denoms[1], x.denoms[2]
+    line, v3 = _integer_line(v), v.truncated(2)
     walls: dict[tuple, list[ChernVector]] = {}
-    k0_hi = _grid_floor(max_rank, lam0, strict=False)
-    k1_box = _grid_floor(max_c1, lam1, strict=False)
+    k0_hi = max_rank.numerator * lam0 // max_rank.denominator
+    k1_box = max_c1.numerator * lam1 // max_c1.denominator
     for k0 in range(-k0_hi, k0_hi + 1):
-        c0w = Fraction(k0, lam0)
-        k1_lo, k1_hi = _interval_k1(x, bz, c0w)
-        k1_lo, k1_hi = max(k1_lo, -k1_box), min(k1_hi, k1_box)
-        for k1 in range(k1_lo, k1_hi + 1):
-            for key, w in _scan_cell(x, v, bz, c0w, Fraction(k1, lam1)):
-                walls.setdefault(key, []).append(w)
+        k1_lo, k1_hi = _k1_range(x.denoms, line, k0)
+        for k1 in range(max(k1_lo, -k1_box), min(k1_hi, k1_box) + 1):
+            for k2 in _k2_range(x.denoms, line, k0, k1):
+                w = ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
+                                 Fraction(k2, lam2)])
+                circle = wall_circle(x, v3, w)
+                if circle.kind == "circle":
+                    key = (circle.center_beta, circle.radius_sq)
+                    walls.setdefault(key, []).append(w)
     out = []
     for (center, radius_sq) in sorted(walls):
         wits = sorted(walls[(center, radius_sq)], key=lambda w: w.coeffs)

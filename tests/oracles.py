@@ -196,13 +196,14 @@ def wall_equation(d, v, w):
     return c0, c1, c2
 
 
-def enumerate_walls(d, denoms, v, max_rank: int, max_c1: int,
+def enumerate_walls(d, denoms, v, max_rank, max_c1,
                     c2_scaled_range: int = 80):
     """Exhaustive candidate-wall enumeration inside a fixed box.
 
     Filters: 0 < ch_1^{beta_0}(w) < ch_1^{beta_0}(v) at beta_0, both
     discriminants nonnegative, and the circle crosses the beta_0 line at
-    alpha > 0.  Returns {(center, radius_sq): set of witnesses}.
+    alpha > 0.  The bounds may be fractions: |c0| <= max_rank and
+    |c1| <= max_c1.  Returns {(center, radius_sq): set of witnesses}.
     """
     c0, c1, c2 = v[:3]
     a0, a1, a2 = c0 * d, c1 * d, c2 * d
@@ -210,11 +211,13 @@ def enumerate_walls(d, denoms, v, max_rank: int, max_c1: int,
     f = (a1 * a1 - 2 * a0 * a2) / (a0 * a0)
     assert f > 0
     mu = a1 / a0   # beta_0 = mu - sqrt(f)
-    lam1, lam2 = denoms[1], denoms[2]
+    lam0, lam1, lam2 = denoms[0], denoms[1], denoms[2]
+    box0 = int(Fraction(max_rank) * lam0)    # truncation is floor for >= 0
+    box1 = int(Fraction(max_c1) * lam1)
     found: dict = {}
-    for k0 in range(-max_rank, max_rank + 1):
-        for k1 in range(-max_c1 * lam1, max_c1 * lam1 + 1):
-            c0w, c1w = Fraction(k0), Fraction(k1, lam1)
+    for k0 in range(-box0, box0 + 1):
+        for k1 in range(-box1, box1 + 1):
+            c0w, c1w = Fraction(k0, lam0), Fraction(k1, lam1)
             # value(w) = (c1w - beta0 c0w) d = (c1w - mu c0w) d + c0w d sqrt(f)
             va, vb = (c1w - mu * c0w) * d, c0w * d
             if sign_a_plus_b_sqrt(va, vb, f) <= 0:

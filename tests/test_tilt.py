@@ -11,8 +11,8 @@ from kustab.tilt import (TiltParams, alpha_range, blms_check, charge_h,
                          charge_tilt, discriminant_h, heart_case, slope_h,
                          slope_tilt, zero_charge_class)
 from kustab.variety import (PRESETS, SPINOR_CLASS, SPINOR_VARIETIES,
-                            ChernVector, euler_pairing, exp_twist, get_preset,
-                            line_bundle_class)
+                            ChernVector, VarietyDesc, euler_pairing,
+                            exp_twist, get_preset, line_bundle_class)
 
 from oracles import tilt_re_im
 
@@ -293,28 +293,38 @@ def test_alpha_range_half_closed_endpoint():
 def test_alpha_range_matches_sampled_blms():
     # p4 is left out: its Serre shift of 3 is outside the double tilt
     # the empty collection has range (0, inf); the flag-off variety has none
+    # on the surface P2 the Serre image sits at shift 1 (cases 2 and 3), so
+    # its blocks O(a)..O(a + m - 1) also get ranges with a positive left end
     step, eps = Fraction(1, 4), Fraction(1, 1000)
     flag_off = dataclasses.replace(Q3, low_deg_H_generated=False)
+    p2 = VarietyDesc(name="p2", dim=2, degree=1, todd=(1, Fraction(3, 2), 1),
+                     denoms=(1, 1, 2), index=3)
+    cases = []
     for x in (Q3, Y4, get_preset("y2"), flag_off):
         block = members(x)
-        subs = [block[i:j] for i in range(len(block))
-                for j in range(i + 1, len(block) + 1)] + [()]
-        for mem in subs:
-            for b in range(-16, 13):
-                beta = b * step
-                ivs = alpha_range(x, mem, beta)
-                ends = {iv.hi.rational_value() for iv in ivs
-                        if iv.hi is not None}
-                assert all(e > 0 for e in ends), (x.name, mem, beta)
-                alphas = {Fraction(1, 8), Fraction(1, 2), Fraction(1),
-                          Fraction(2), Fraction(4)}
-                alphas |= {e + d for e in ends | {Fraction(0)}
-                           for d in (-eps, 0, eps)}
-                for alpha in sorted(a for a in alphas if a > 0):
-                    p = TiltParams(alpha=alpha, beta=beta)
-                    passed = blms_check(x, mem, p).passed
-                    assert passed == any(iv.contains(alpha) for iv in ivs), (
-                        x.name, mem, beta, alpha)
+        cases += [(x, block[i:j]) for i in range(len(block))
+                  for j in range(i + 1, len(block) + 1)] + [(x, ())]
+    cases += [(p2, tuple(line_bundle_class(p2, k) for k in range(a, a + m)))
+              for a in range(-3, 3) for m in (1, 2, 3)]
+    lower_ends = 0
+    for x, mem in cases:
+        for b in range(-24 if x is p2 else -16, 12):
+            beta = b * step
+            ivs = alpha_range(x, mem, beta)
+            his = {iv.hi.rational_value() for iv in ivs if iv.hi is not None}
+            los = {iv.lo.rational_value() for iv in ivs}
+            assert all(e > 0 for e in his), (x.name, mem, beta)
+            lower_ends += sum(e > 0 for e in los)
+            alphas = {Fraction(1, 8), Fraction(1, 2), Fraction(1),
+                      Fraction(2), Fraction(4)}
+            alphas |= {e + d for e in his | los | {Fraction(0)}
+                       for d in (-eps, 0, eps)}
+            for alpha in sorted(a for a in alphas if a > 0):
+                p = TiltParams(alpha=alpha, beta=beta)
+                passed = blms_check(x, mem, p).passed
+                assert passed == any(iv.contains(alpha) for iv in ivs), (
+                    x.name, mem, beta, alpha)
+    assert lower_ends >= 20, lower_ends
     assert [iv.text() for iv in alpha_range(Q3, (), 0)] == ["(0, inf)"]
     assert alpha_range(Q3, members(Q3), Fraction(-1, 2)) != []
     assert alpha_range(flag_off, members(Q3), Fraction(-1, 2)) == []

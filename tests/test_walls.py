@@ -2,16 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from kustab.exact import DomainError, QuadNumber, quad_compare
+from kustab.exact import DomainError, QuadNumber, is_square, quad_compare
 from kustab.tilt import TiltParams, slope_tilt
 from kustab.variety import ChernVector, exp_twist, get_preset, line_bundle_class
-from kustab.walls import (beta_zero, first_interval_violation,
+from kustab.walls import (_qfloor, beta_zero, first_interval_violation,
                           nowall_certificate, wall_circle, wall_scan)
 
-from oracles import enumerate_walls
+from oracles import enumerate_walls, floor_a_plus_b_sqrt, sign_a_plus_b_sqrt
 
 Q3 = get_preset("q3")
 SPINOR_TRUNC = ChernVector([2, -1, 0])
@@ -184,6 +185,100 @@ def test_wall_scan_matches_enumeration_oracle():
         for w in got:
             key = (w.center_beta, w.radius_sq)
             assert {tuple(x) for x in w.witnesses} == expected[key]
+
+
+def _qfloor_inputs(rng):
+    for _ in range(1500):
+        n = rng.choice((rng.randint(1, 10 ** 4), rng.randint(1, 99) ** 2))
+        size = 10 ** rng.choice((3, 12, 30))
+        yield (rng.randint(-size, size), rng.randint(-size, size),
+               rng.randint(1, 10 ** 4), n)
+    for _ in range(500):    # exact integers: square n, or b = 0
+        s, c, k = rng.randint(0, 99), rng.randint(1, 999), rng.randint(-99, 99)
+        b = rng.choice((0, rng.randint(-99, 99)))
+        yield k * c - b * s, b, c, s * s
+
+
+def test_qfloor_matches_bisection_oracle():
+    rng = random.Random(1309)
+    for a, b, c, n in _qfloor_inputs(rng):
+        fa, fb = Fraction(a, c), Fraction(b, c)
+        expected = floor_a_plus_b_sqrt(fa, fb, n)
+        exact = sign_a_plus_b_sqrt(fa - expected, fb, Fraction(n)) == 0
+        s = isqrt(n)
+        assert _qfloor(a, b, c, n, s, False) == expected, (a, b, c, n)
+        assert _qfloor(a, b, c, n, s, True) == expected - exact, (a, b, c, n)
+        # the ceiling form: smallest k with k > value, or k >= value
+        assert -_qfloor(-a, -b, c, n, s, True) == expected + 1
+        assert -_qfloor(-a, -b, c, n, s, False) == expected + 1 - exact
+
+
+def _random_scan_cases(rng, per_preset):
+    """Seeded (variety, class, max_rank, max_c1) inputs for wall_scan.
+
+    Classes are twists by -3..3 of (r, c1, k/lam2), so c2 often has
+    denominator lam2; bounds are fractions small enough that the oracle's
+    c2 box of +-80/lam2 covers every candidate.
+    """
+    for name in ("q3", "p4", "y4", "y2"):
+        x = get_preset(name)
+        made = 0
+        while made < per_preset:
+            base = ChernVector([rng.randint(1, 3), rng.randint(-2, 2),
+                                Fraction(rng.randint(-7, 3), x.denoms[2])])
+            v = exp_twist(base, rng.randint(-3, 3))
+            if v[1] * v[1] - 2 * v[0] * v[2] <= 0:
+                continue
+            max_rank = Fraction(rng.randint(0, 12), rng.choice((1, 2, 4)))
+            max_c1 = Fraction(rng.randint(0, 16), rng.choice((1, 2, 4)))
+            if max_rank <= 3 and max_c1 <= 4:
+                made += 1
+                yield x, v, max_rank, max_c1
+
+
+def _endpoint_hits(x, v, bz, max_rank, max_c1):
+    """Lattice pairs (c0 != 0, c1) in the box with value 0 or the bound."""
+    b0, bound = bz.beta0.rational_value(), bz.bound.rational_value()
+    lam0, lam1 = x.denoms[0], x.denoms[1]
+    hits = 0
+    for k0 in range(-int(max_rank * lam0), int(max_rank * lam0) + 1):
+        for k1 in range(-int(max_c1 * lam1), int(max_c1 * lam1) + 1):
+            value = (Fraction(k1, lam1) - b0 * Fraction(k0, lam0)) * x.degree
+            hits += k0 != 0 and value in (0, bound)
+    return hits
+
+
+def test_wall_scan_kernel_matches_oracle_on_random_inputs(monkeypatch):
+    # square F (rational beta_0, attained strict k1 endpoints), c2 off the
+    # integers and rows with c0 < 0 must all occur, or the run proves little
+    kinds = []
+
+    def recording_wall_circle(*args):
+        circle = wall_circle(*args)
+        kinds.append(circle.kind)
+        return circle
+
+    # the exact filters leave only classes whose wall crosses beta_0 at
+    # alpha > 0, so every class the scan tries is a circle
+    monkeypatch.setattr("kustab.walls.wall_circle", recording_wall_circle)
+    fixed = [(Q3, ChernVector([3, -1, Fraction(-5, 2)]), 3, 4),
+             (Q3, ChernVector([2, -1, -2]), Fraction(5, 2), Fraction(7, 2))]
+    rng = random.Random(8080)
+    seen = {"square": 0, "endpoint": 0, "fractional": 0, "negative_c0": 0}
+    for x, v, max_rank, max_c1 in fixed + list(_random_scan_cases(rng, 12)):
+        got = wall_scan(x, v, max_rank, max_c1)
+        expected = enumerate_walls(x.degree, x.denoms, tuple(v),
+                                   max_rank, max_c1)
+        assert {(w.center_beta, w.radius_sq): {tuple(c) for c in w.witnesses}
+                for w in got} == expected, (x.name, v, max_rank, max_c1)
+        bz = beta_zero(x, v)
+        if is_square(bz.F):
+            seen["square"] += 1
+            seen["endpoint"] += _endpoint_hits(x, v, bz, max_rank, max_c1)
+        seen["fractional"] += v[2].denominator > 1
+        seen["negative_c0"] += sum(c[0] < 0 for w in got for c in w.witnesses)
+    assert all(count >= 5 for count in seen.values()), seen
+    assert kinds and set(kinds) == {"circle"}
 
 
 def test_wall_scan_circles_cross_beta_zero_line():
