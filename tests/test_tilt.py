@@ -308,7 +308,7 @@ def test_alpha_range_matches_sampled_blms():
               for a in range(-3, 3) for m in (1, 2, 3)]
     lower_ends = 0
     for x, mem in cases:
-        for b in range(-24 if x is p2 else -16, 12):
+        for b in range(-24, 12) if x is p2 else range(-16, 13):
             beta = b * step
             ivs = alpha_range(x, mem, beta)
             his = {iv.hi.rational_value() for iv in ivs if iv.hi is not None}

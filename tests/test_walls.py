@@ -166,27 +166,6 @@ def test_wall_scan_irrational_example():
                            ChernVector([2, -2, 1]))
 
 
-def test_wall_scan_matches_enumeration_oracle():
-    P4, Y4, Y2 = get_preset("p4"), get_preset("y4"), get_preset("y2")
-    for x, v, bounds in (
-            (Q3, IRRATIONAL, (3, 3)), (Q3, IRRATIONAL, (5, 5)),
-            (Q3, ChernVector([2, 0, -1]), (4, 4)),
-            (Q3, ChernVector([2, -1, -1]), (3, 3)),
-            # rational beta_0 = -2
-            (Q3, ChernVector([2, -1, -2]), (4, 4)),
-            (Q3, ChernVector([1, 0, -2]), (4, 4)),
-            (Q3, exp_twist(ChernVector([2, -1, -1]), 1), (3, 5)),
-            (P4, IRRATIONAL, (3, 3)), (P4, ChernVector([2, -1, -2]), (3, 3)),
-            (Y4, IRRATIONAL, (3, 3)), (Y4, ChernVector([2, -1, -1]), (3, 3)),
-            (Y2, IRRATIONAL, (3, 3)), (Y2, ChernVector([2, 1, -1]), (3, 3))):
-        got = wall_scan(x, v, *bounds)
-        expected = enumerate_walls(x.degree, x.denoms, tuple(v), *bounds)
-        assert {(w.center_beta, w.radius_sq) for w in got} == set(expected)
-        for w in got:
-            key = (w.center_beta, w.radius_sq)
-            assert {tuple(x) for x in w.witnesses} == expected[key]
-
-
 def _qfloor_inputs(rng):
     for _ in range(1500):
         n = rng.choice((rng.randint(1, 10 ** 4), rng.randint(1, 99) ** 2))
@@ -248,9 +227,10 @@ def _endpoint_hits(x, v, bz, max_rank, max_c1):
     return hits
 
 
-def test_wall_scan_kernel_matches_oracle_on_random_inputs(monkeypatch):
+def test_wall_scan_matches_enumeration_oracle(monkeypatch):
     # square F (rational beta_0, attained strict k1 endpoints), c2 off the
     # integers and rows with c0 < 0 must all occur, or the run proves little
+    P4, Y4, Y2 = get_preset("p4"), get_preset("y4"), get_preset("y2")
     kinds = []
 
     def recording_wall_circle(*args):
@@ -261,11 +241,22 @@ def test_wall_scan_kernel_matches_oracle_on_random_inputs(monkeypatch):
     # the exact filters leave only classes whose wall crosses beta_0 at
     # alpha > 0, so every class the scan tries is a circle
     monkeypatch.setattr("kustab.walls.wall_circle", recording_wall_circle)
-    fixed = [(Q3, ChernVector([3, -1, Fraction(-5, 2)]), 3, 4),
-             (Q3, ChernVector([2, -1, -2]), Fraction(5, 2), Fraction(7, 2))]
-    rng = random.Random(8080)
+    cases = [
+        (Q3, IRRATIONAL, 3, 3), (Q3, IRRATIONAL, 5, 5),
+        (Q3, ChernVector([2, 0, -1]), 4, 4),
+        (Q3, ChernVector([2, -1, -1]), 3, 3),
+        # rational beta_0 = -2
+        (Q3, ChernVector([2, -1, -2]), 4, 4),
+        (Q3, ChernVector([1, 0, -2]), 4, 4),
+        (Q3, exp_twist(ChernVector([2, -1, -1]), 1), 3, 5),
+        (P4, IRRATIONAL, 3, 3), (P4, ChernVector([2, -1, -2]), 3, 3),
+        (Y4, IRRATIONAL, 3, 3), (Y4, ChernVector([2, -1, -1]), 3, 3),
+        (Y2, IRRATIONAL, 3, 3), (Y2, ChernVector([2, 1, -1]), 3, 3),
+        (Q3, ChernVector([3, -1, Fraction(-5, 2)]), 3, 4),
+        (Q3, ChernVector([2, -1, -2]), Fraction(5, 2), Fraction(7, 2))]
+    cases += _random_scan_cases(random.Random(8080), 12)
     seen = {"square": 0, "endpoint": 0, "fractional": 0, "negative_c0": 0}
-    for x, v, max_rank, max_c1 in fixed + list(_random_scan_cases(rng, 12)):
+    for x, v, max_rank, max_c1 in cases:
         got = wall_scan(x, v, max_rank, max_c1)
         expected = enumerate_walls(x.degree, x.denoms, tuple(v),
                                    max_rank, max_c1)
