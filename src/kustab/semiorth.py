@@ -67,16 +67,14 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     returns it in row Hermite normal form with positive pivots, so the output
     is deterministic and each basis vector is primitive.
     """
-    n = x.dim
-    if not c.members:
-        gens = [[int(i == j) for i in range(n + 1)] for j in range(n + 1)]
-        return [from_lattice_coords(x, g) for g in gens]
-    for m in c.members:
-        if not in_lattice(x, m):
-            raise DomainError("collection member not in lattice")
-    # functional matrix: row i, column j = chi(E_i, H^j / lambda_j)
-    gens = [ChernVector([Fraction(int(i == j), x.denoms[j]) for i in range(n + 1)])
+    n = x.dim     # gens: the lattice basis H^j / lambda_j
+    gens = [from_lattice_coords(x, [int(i == j) for i in range(n + 1)])
             for j in range(n + 1)]
+    if not c.members:
+        return gens
+    if not all(in_lattice(x, m) for m in c.members):
+        raise DomainError("collection member not in lattice")
+    # functional matrix: row i, column j = chi(E_i, H^j / lambda_j)
     return [from_lattice_coords(x, k)
             for k in kernel_basis(_pairing_matrix(x, c.members, gens))]
 
@@ -92,20 +90,18 @@ def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
     if not c.members:
         return v
     gram = _pairing_matrix(x, c.members, c.members)
-    rhs = [euler_pairing(x, ej, v) for ej in c.members]
+    rhs = [r[0] for r in _pairing_matrix(x, c.members, (v,)).entries]
     try:
         coeffs = gram.solve(rhs)
     except DomainError:
         raise DomainError("degenerate collection pairing") from None
-    u = ChernVector([Fraction(0)] * len(v))
-    for a, e in zip(coeffs, c.members):
-        u = u + a * e
-    return v - u
+    return v - sum((a * e for a, e in zip(coeffs, c.members)),
+                   ChernVector([0] * len(v)))
 
 
 def is_residual(x: VarietyDesc, c: Collection, v: ChernVector) -> bool:
-    return in_lattice(x, v) and all(
-        euler_pairing(x, e, v) == 0 for e in c.members)
+    return in_lattice(x, v) and not any(
+        r[0] for r in _pairing_matrix(x, c.members, (v,)).entries)
 
 
 def serre_on_residual(x: VarietyDesc, c: Collection,

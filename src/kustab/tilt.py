@@ -317,8 +317,10 @@ def alpha_range(x: VarietyDesc, members, beta) -> list[AlphaInterval]:
     """
     be = rat(beta)
     ks = _line_bundle_degrees(x, members)
-    if ks and x.dim - 1 not in (0, 1, 2):
-        raise DomainError("shift out of range for double tilt")
+    if ks:   # blms_check's guards: charges need c0, c1, c2; Serre shift <= 2
+        _degree_numbers(x, line_bundle_class(x, ks[0]))
+        if x.dim > 3:
+            raise DomainError("shift out of range for double tilt")
     js, surface = [k - x.index for k in ks], x.dim == 2
     if (any(k <= be for k in ks) or not surface and any(j >= be for j in js)
             or not _zero_charge_pairing(x)):

@@ -8,15 +8,19 @@ for classes sum c_i H^i, and the Euler pairing is, by Riemann-Roch,
 
     chi(v, w) = d * sum over i + j <= n of (-1)^i v_i w_j t_(n-i-j),
 
-the H^n coefficient of ch(v)^dual * ch(w) * td times the degree.
+the H^n coefficient of ch(v)^dual * ch(w) * td times the degree.  Each
+descriptor stores it in integers as (scale, G): scale is the lcm of the Todd
+denominators, G[i][j] = scale * d * (-1)^i * t_(n-i-j) if i + j <= n, else 0,
+and chi(V/p, W/q) = V^T G W / (scale * p * q) for integer vectors V, W.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .exact import DomainError, RatMatrix, rat
 
@@ -102,6 +106,8 @@ class VarietyDesc:
     denoms: tuple[int, ...]
     index: int
     low_deg_H_generated: bool = True
+    # (scale, G), the integer pairing form of the module docstring
+    _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "todd", tuple(rat(t) for t in self.todd))
@@ -112,6 +118,11 @@ class VarietyDesc:
             raise DomainError("todd and denoms must have length dim + 1")
         if any(d < 1 for d in self.denoms):
             raise DomainError("denominators must be positive")
+        n, scale = self.dim, lcm(*(t.denominator for t in self.todd))
+        td = [t.numerator * scale // t.denominator * self.degree for t in self.todd]
+        object.__setattr__(self, "_form", (scale, tuple(tuple(
+            (-1) ** i * td[n - i - j] if i + j <= n else 0
+            for j in range(n + 1)) for i in range(n + 1))))
         if self.todd[0] != 1:
             warnings.warn(f"{self.name}: todd[0] = {self.todd[0]} != 1")
         if 2 * self.todd[1] != self.index:
@@ -163,7 +174,7 @@ def get_preset(name: str) -> VarietyDesc:
 
 def line_bundle_class(x: VarietyDesc, k: int) -> ChernVector:
     """ch O(k) = e^{kH}, coefficients k^i / i!."""
-    return ChernVector(Fraction(k) ** i / factorial(i) for i in range(x.dim + 1))
+    return ChernVector(Fraction(k ** i, factorial(i)) for i in range(x.dim + 1))
 
 
 def exp_twist(v: ChernVector, gamma) -> ChernVector:
@@ -181,13 +192,7 @@ def exp_twist(v: ChernVector, gamma) -> ChernVector:
 
 def euler_pairing(x: VarietyDesc, v: ChernVector, w: ChernVector) -> Fraction:
     """chi(v, w) via Riemann-Roch."""
-    x.check_class(v)
-    x.check_class(w)
-    n, td = x.dim, x.todd
-    return x.degree * sum(
-        ((-vi if i % 2 else vi)
-         * sum(w[j] * td[n - i - j] for j in range(n + 1 - i))
-         for i, vi in enumerate(v) if vi), Fraction(0))
+    return _pairing_matrix(x, (v,), (w,)).entries[0][0]
 
 
 def gram_matrix(x: VarietyDesc, convention: str = "chi") -> RatMatrix:
@@ -199,19 +204,26 @@ def gram_matrix(x: VarietyDesc, convention: str = "chi") -> RatMatrix:
     """
     if convention not in ("chi", "paper"):
         raise DomainError(f"unknown convention: {convention}")
-    n = x.dim
-    basis = [ChernVector([Fraction(i == k) for i in range(n + 1)])
-             for k in range(n + 1)]
-    g = _pairing_matrix(x, basis, basis)
-    if convention == "paper":
-        g = RatMatrix.from_rows([[e / x.degree for e in row] for row in g.entries])
-    return g
+    scale = x._form[0] * (x.degree if convention == "paper" else 1)
+    return RatMatrix.from_rows([[Fraction(e, scale) for e in row]
+                                for row in x._form[1]])
+
+
+def _cleared(x: VarietyDesc, v: ChernVector) -> tuple[int, list[int]]:
+    # (p, V) with V = p * v an integer vector, p the lcm of the denominators
+    p = lcm(*(c.denominator for c in x.check_class(v)))
+    return p, [c.numerator * (p // c.denominator) for c in v]
 
 
 def _pairing_matrix(x: VarietyDesc, rows, cols) -> RatMatrix:
-    # entry (i, j) = chi(rows[i], cols[j]); every pairing matrix is built here
-    return RatMatrix.from_rows(
-        [[euler_pairing(x, r, c) for c in cols] for r in rows])
+    # entry (i, j) = chi(rows[i], cols[j]) = V_i^T G W_j / (scale p_i q_j);
+    # every pairing is computed here, with G W_j formed once per column
+    scale, g = x._form
+    gw = [(scale * q, [sum(map(mul, row, w)) for row in g])
+          for q, w in (_cleared(x, c) for c in cols)]
+    return RatMatrix(tuple(
+        tuple(Fraction(sum(map(mul, v, col)), p * d) for d, col in gw)
+        for p, v in (_cleared(x, r) for r in rows)))
 
 
 def _serre_matrix(g: RatMatrix) -> RatMatrix:

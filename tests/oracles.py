@@ -87,6 +87,19 @@ def chern_y2() -> list[Fraction]:
     return series_mul(num, series_inv([Fraction(1), Fraction(4)], 3), 3)
 
 
+# -- Riemann-Roch --------------------------------------------------------------
+
+
+def euler_closed_sum(degree, todd, v, w) -> Fraction:
+    """chi(v, w) = d * sum over i + j <= n of (-1)^i v_i w_j t_(n-i-j), term by term."""
+    n = len(todd) - 1
+    total = Fraction(0)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            total += (-1) ** i * Fraction(v[i]) * Fraction(w[j]) * Fraction(todd[n - i - j])
+    return degree * total
+
+
 # -- independent linear algebra ------------------------------------------------
 
 

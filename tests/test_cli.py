@@ -130,6 +130,20 @@ def test_domain_errors_exit_three(capsys):
         assert (code, out) == (3, "error: negative scan bound\n")
 
 
+def test_alpha_range_on_a_curve_exits_three(tmp_path, capsys):
+    # P1 has no c2: alpha-range refuses the block O, O(1) as blms does
+    cfg = tmp_path / "p1.json"
+    cfg.write_text(json.dumps({"varieties": [{
+        "name": "P1", "dim": 1, "degree": 1, "index": 2, "todd": ["1", "1"],
+        "denoms": [1, 1]}]}))
+    for argv in (["alpha-range", "--beta", "-1/2"],
+                 ["blms", "--alpha", "1/4", "--beta", "-1/2"]):
+        code = run([*argv, "--config", str(cfg), "--variety", "p1"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (
+            3, "error: class needs at least coefficients c0, c1, c2\n", ""), argv
+
+
 def test_determinism_text_and_json(capsys):
     argv = ["walls", "--variety", "q3", "1,0,-1"]
     _, first = invoke(capsys, *argv)

@@ -6,8 +6,9 @@ from math import gcd, isqrt
 
 import pytest
 
-from kustab.exact import (DomainError, QuadNumber, RatMatrix, kernel_basis,
-                          lattice_primitive, quad_compare)
+from kustab.exact import (DomainError, QuadNumber, RatMatrix, hnf_rows,
+                          int_kernel, kernel_basis, lattice_primitive,
+                          quad_compare)
 from kustab.svg import _sqrt_trunc
 from kustab.tilt import AlphaInterval
 
@@ -269,3 +270,44 @@ def test_matrix_inverse_and_solve():
     assert m.solve([1, 1, 1]) == (7, -4, 1)
     with pytest.raises(DomainError):
         RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+def _random_int_matrix(rng):
+    # small and large entries, zeros, and now and then a dependent last row
+    rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+    m = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10 ** 4, 10 ** 4)))
+          for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and rng.random() < 0.3:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def test_lattice_routines_match_sympy():
+    # int_kernel: sympy's nullity, rows in sympy's nullspace, Smith invariants
+    # all 1 (saturated); hnf_rows: the same row lattice as its input, by
+    # sympy's Hermite normal form of the transposes
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+    rng = random.Random(1968)
+    saturated = 0
+    for _ in range(150):
+        a = _random_int_matrix(rng)
+        ma = sympy.Matrix(a)
+        null = ma.nullspace()
+        kernel = int_kernel(a)
+        assert len(kernel) == len(null), a
+        for k in kernel:
+            assert all(type(c) is int for c in k)
+            assert sympy.Matrix.hstack(*null, sympy.Matrix(k)).rank() == len(null)
+        if kernel:
+            assert set(invariant_factors(sympy.Matrix(kernel),
+                                         domain=sympy.ZZ)) == {1}, a
+            saturated += 1
+        for rows in (a, kernel):
+            h = hnf_rows(rows)
+            assert len(h) == (sympy.Matrix(rows).rank() if rows else 0)
+            if h:
+                assert (hermite_normal_form(sympy.Matrix(h).T)
+                        == hermite_normal_form(sympy.Matrix(rows).T)), rows
+    assert saturated >= 50, saturated

@@ -290,6 +290,33 @@ def test_alpha_range_half_closed_endpoint():
     assert not blms_check(Q3, mem, p_past).passed
 
 
+def test_alpha_range_guards_match_blms_check():
+    # for every dimension 1..4 a non-empty block makes alpha_range raise
+    # exactly when blms_check does, with the same message: a curve has no
+    # c2, and P4's Serre shift of 3 is outside the double tilt
+    p1 = VarietyDesc(name="p1", dim=1, degree=1, todd=(1, 1), denoms=(1, 1),
+                     index=2)
+    p2 = VarietyDesc(name="p2", dim=2, degree=1, todd=(1, Fraction(3, 2), 1),
+                     denoms=(1, 1, 2), index=3)
+    expected = {"p1": "class needs at least coefficients c0, c1, c2",
+                "p2": None, "Q3": None,
+                "P4": "shift out of range for double tilt"}
+    for x in (p1, p2, Q3, get_preset("p4")):
+        for mem in (members(x, 1), members(x, 2), (line_bundle_class(x, 3),)):
+            for beta in (Fraction(-7, 2), Fraction(-1, 2), Fraction(5, 2)):
+                got = []
+                for call in (lambda: alpha_range(x, mem, beta),
+                             lambda: blms_check(x, mem, TiltParams(1, beta))):
+                    try:
+                        call()
+                        got.append(None)
+                    except DomainError as exc:
+                        got.append(str(exc))
+                assert got == [expected[x.name]] * 2, (x.name, mem, beta)
+        # the empty collection has no Serre image to place
+        assert [iv.text() for iv in alpha_range(x, (), 0)] == ["(0, inf)"]
+
+
 def test_alpha_range_matches_sampled_blms():
     # p4 is left out: its Serre shift of 3 is outside the double tilt
     # the empty collection has range (0, inf); the flag-off variety has none

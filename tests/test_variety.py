@@ -1,5 +1,6 @@
 """Riemann-Roch engine: presets, twists, pairings, Serre action, lattice."""
 
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -9,12 +10,13 @@ import pytest
 
 from kustab.exact import DomainError, RatMatrix
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
-                            euler_pairing, exp_twist, get_preset, gram_matrix,
-                            in_lattice, line_bundle_class, serre_class,
+                            _pairing_matrix, euler_pairing, exp_twist,
+                            get_preset, gram_matrix, in_lattice,
+                            line_bundle_class, serre_class,
                             serre_inverse_class, serre_numeric)
 
-from oracles import (chern_y2, chern_y4, hilbert_p4, hilbert_q3, series_mul,
-                     todd_from_chern_3fold, todd_p4)
+from oracles import (chern_y2, chern_y4, euler_closed_sum, hilbert_p4,
+                     hilbert_q3, series_mul, todd_from_chern_3fold, todd_p4)
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
@@ -25,6 +27,33 @@ PRESET_LIST = [P4, Q3, Y4, Y2]
 
 def _random_lattice_class(rng, x):
     return ChernVector([Fraction(rng.randint(-6, 6), d) for d in x.denoms])
+
+
+def _oracle_varieties():
+    # the presets, the P2 surface of the alpha_range test, a P1 curve and a
+    # descriptor with todd[0] = 0 (so the Gram antidiagonal vanishes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        no_unit = VarietyDesc(name="no-unit", dim=3, degree=5, index=1,
+                              todd=(0, Fraction(1, 3), Fraction(-5, 7),
+                                    Fraction(1, 11)),
+                              denoms=(1, 3, 7, 11))
+    return PRESET_LIST + [
+        VarietyDesc(name="p2", dim=2, degree=1, todd=(1, Fraction(3, 2), 1),
+                    denoms=(1, 1, 2), index=3),
+        VarietyDesc(name="p1", dim=1, degree=1, todd=(1, 1), denoms=(1, 1),
+                    index=2),
+        no_unit]
+
+
+def _random_rational_class(rng, n):
+    # denominators up to 10^6, a quarter of the coefficients zero, and now
+    # and then the zero class
+    if rng.random() < 0.05:
+        return ChernVector([0] * (n + 1))
+    return ChernVector([
+        Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+        if rng.random() < 0.75 else Fraction(0) for _ in range(n + 1)])
 
 
 def test_q3_todd_and_denoms():
@@ -103,6 +132,71 @@ def test_euler_pairing_matches_series_oracle():
             expected = x.degree * series_mul(
                 series_mul(dual, w, n), list(x.todd), n)[n]
             assert euler_pairing(x, ChernVector(v), ChernVector(w)) == expected
+
+
+def test_pairings_match_closed_sum_oracle():
+    # euler_pairing, every entry of _pairing_matrix (square, tall, wide and
+    # empty shapes) and gram_matrix against the term-by-term Todd sum
+    rng = random.Random(2024)
+    for x in _oracle_varieties():
+        n = x.dim
+
+        def chi(v, w):
+            return euler_closed_sum(x.degree, x.todd, v, w)
+
+        for _ in range(60):
+            v, w = (_random_rational_class(rng, n) for _ in range(2))
+            got = euler_pairing(x, v, w)
+            assert type(got) is Fraction and got == chi(v, w), (x.name, v, w)
+        for r, c in ((1, 1), (3, 3), (4, 1), (1, 4), (2, 5), (0, 3), (3, 0)):
+            rows = [_random_rational_class(rng, n) for _ in range(r)]
+            cols = [_random_rational_class(rng, n) for _ in range(c)]
+            m = _pairing_matrix(x, rows, cols)
+            assert m.rows == r and (r == 0 or m.cols == c)
+            for i, v in enumerate(rows):
+                for j, w in enumerate(cols):
+                    assert type(m[i, j]) is Fraction
+                    assert m[i, j] == chi(v, w), (x.name, i, j)
+        basis = [[Fraction(i == k) for i in range(n + 1)] for k in range(n + 1)]
+        chi_gram, paper = gram_matrix(x, "chi"), gram_matrix(x, "paper")
+        for i, ei in enumerate(basis):
+            for j, ej in enumerate(basis):
+                assert chi_gram[i, j] == chi(ei, ej)
+                assert paper[i, j] == chi(ei, ej) / x.degree
+
+
+def test_pairing_wrong_arity_message():
+    short, full = ChernVector([1, 0, 0]), SPINOR_CLASS
+    for call in (lambda: euler_pairing(Q3, short, full),
+                 lambda: euler_pairing(Q3, full, short),
+                 lambda: _pairing_matrix(Q3, [full, short], [full]),
+                 lambda: _pairing_matrix(Q3, [full], [full, short])):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == "wrong arity: Q3 needs 4 coefficients"
+
+
+def test_descriptor_identity_is_its_declared_fields():
+    # repr, == and hash see only the seven declared fields
+    def p2():
+        return VarietyDesc(name="p2", dim=2, degree=1,
+                           todd=(1, Fraction(3, 2), 1), denoms=(1, 1, 2),
+                           index=3)
+
+    a, b = p2(), p2()
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(("p2", 2, 1, (1, Fraction(3, 2), 1), (1, 1, 2), 3,
+                            True))
+    assert repr(a) == (
+        "VarietyDesc(name='p2', dim=2, degree=1, todd=(Fraction(1, 1), "
+        "Fraction(3, 2), Fraction(1, 1)), denoms=(1, 1, 2), index=3, "
+        "low_deg_H_generated=True)")
+    assert [f.name for f in dataclasses.fields(a) if f.compare] == [
+        "name", "dim", "degree", "todd", "denoms", "index",
+        "low_deg_H_generated"]
+    flag_off = dataclasses.replace(Q3, low_deg_H_generated=False)
+    assert flag_off != Q3
+    assert dataclasses.replace(flag_off, low_deg_H_generated=True) == Q3
 
 
 def test_euler_pairing_spinor():
