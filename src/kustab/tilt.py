@@ -10,17 +10,33 @@ with slopes mu = -Re/Im (set to +infinity when the imaginary part
 vanishes).  Shifting an object by [k] multiplies both charges by (-1)^k;
 slopes are shift invariant.  Membership of a shifted semistable sheaf in
 the doubly tilted heart reduces to four slope-inequality cases, evaluated
-verbatim by heart_case.
+by heart_case.
+
+The charge is computed in integers.  Write (c_0, c_1, c_2) = (C0, C1, C2)/M
+with M the lcm of the denominators, alpha = an/ad and beta = bn/bd; then
+
+    Z_{alpha,beta} = d/M * (R / (2 ad^2 bd^2) + i an I / (ad bd)),
+    I = bd C1 - bn C0,
+    R = (an^2 bd^2 - bn^2 ad^2) C0 + 2 ad^2 bd (bn C1 - bd C2),
+
+so mu_H > beta iff C0 I > 0 (mu_H = +infinity at C0 = 0), and the tilt
+slope is -R / (2 an ad bd I) (+infinity at I = 0).  A line bundle O(k),
+ch = e^{kH}, is (C0, C1, C2) = (2, 2k, k^2) with M = 2: mu_H = k,
+
+    Z_{alpha,beta}(O(k)) = d (alpha^2 - (k - beta)^2)/2 + i alpha d (k - beta),
+
+and mu_{alpha,beta}(O(k)) = ((k - beta)^2 - alpha^2) / (2 alpha (k - beta)),
+or +infinity at k = beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 
 from .exact import DomainError, QuadNumber, rat
-from .variety import (ChernVector, VarietyDesc, _degree_numbers,
-                      euler_pairing, line_bundle_class)
+from .variety import ChernVector, VarietyDesc, _degree_numbers
 
 
 @dataclass(frozen=True)
@@ -70,9 +86,6 @@ class ExtSlope:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def gt(self, threshold) -> bool:
-        return True if self.is_infinite else self.value > rat(threshold)
-
     def __str__(self):
         return "inf" if self.is_infinite else str(self.value)
 
@@ -93,12 +106,33 @@ def slope_h(x: VarietyDesc, v: ChernVector) -> ExtSlope:
 
 def charge_tilt(x: VarietyDesc, v: ChernVector, shift: int,
                 p: TiltParams) -> Charge:
-    a0, a1, a2 = _degree_numbers(x, v)
-    al, be = p.alpha, p.beta
-    re = (al * al - be * be) / 2 * a0 + be * a1 - a2
-    im = al * (a1 - be * a0)
-    sign = (-1) ** (shift % 2)
-    return Charge(sign * re, sign * im)
+    m, c0, c1, c2 = _integral(v)
+    return _charge((-1) ** (shift % 2) * x.degree, m,
+                   *_tilt_numbers(c0, c1, c2, p), p)
+
+
+def _integral(v: ChernVector) -> tuple[int, int, int, int]:
+    # (M, C0, C1, C2) of the module docstring: (c_0, c_1, c_2) = (C0, C1, C2)/M
+    if len(v) < 3:
+        raise DomainError("class needs at least coefficients c0, c1, c2")
+    c = v[0], v[1], v[2]
+    m = lcm(*(q.denominator for q in c))
+    return (m, *(q.numerator * (m // q.denominator) for q in c))
+
+
+def _tilt_numbers(c0: int, c1: int, c2: int, p: TiltParams) -> tuple[int, int]:
+    # (R, I) of the module docstring for the integer class (C0, C1, C2)
+    an, ad = p.alpha.numerator, p.alpha.denominator
+    bn, bd = p.beta.numerator, p.beta.denominator
+    return (((an * bd) ** 2 - (bn * ad) ** 2) * c0
+            + 2 * ad * ad * bd * (bn * c1 - bd * c2), bd * c1 - bn * c0)
+
+
+def _charge(d: int, m: int, r: int, i: int, p: TiltParams) -> Charge:
+    # Z = d/M (R / (2 ad^2 bd^2) + i an I / (ad bd)); d carries the shift sign
+    ad, bd = p.alpha.denominator, p.beta.denominator
+    return Charge(Fraction(d * r, 2 * m * (ad * bd) ** 2),
+                  Fraction(d * p.alpha.numerator * i, m * ad * bd))
 
 
 def slope_tilt(x: VarietyDesc, v: ChernVector, p: TiltParams) -> ExtSlope:
@@ -151,8 +185,22 @@ def heart_case(x: VarietyDesc, v: ChernVector, shift: int,
     """
     if shift not in (0, 1, 2):
         raise DomainError("shift out of range for double tilt")
-    mh, mt = slope_h(x, v), slope_tilt(x, v, p)
-    signs = (mh.gt(p.beta), mt.gt(p.mu))
+    _, c0, c1, c2 = _integral(v)
+    return _heart(c0, c1, c2, shift, p)
+
+
+def _heart(c0: int, c1: int, c2: int, shift: int,
+           p: TiltParams) -> HeartVerdict:
+    # heart_case for the integer class (C0, C1, C2), a positive multiple of
+    # (c_0, c_1, c_2): with D = 2 an ad bd I the tilt slope is -R/D, and
+    # -R/D > mu = mn/md iff (-R md - mn D) I > 0; only the two reported
+    # slopes become Fractions
+    r, i = _tilt_numbers(c0, c1, c2, p)
+    den = 2 * p.alpha.numerator * p.alpha.denominator * p.beta.denominator * i
+    mh = ExtSlope.infinity() if c0 == 0 else ExtSlope.finite(Fraction(c1, c0))
+    mt = ExtSlope.infinity() if i == 0 else ExtSlope.finite(Fraction(-r, den))
+    signs = (c0 == 0 or c0 * i > 0,
+             i == 0 or (-r * p.mu.denominator - p.mu.numerator * den) * i > 0)
     at_shift = [c for c in _HEART_CASES if c[1] == shift]
     held = [c for c in at_shift if c[2:] == signs]
     case, _, h_gt, t_gt = (held or at_shift)[0]
@@ -197,16 +245,22 @@ class BlmsReport:
 
 
 def _line_bundle_degrees(x: VarietyDesc, members) -> list[int]:
+    # the degrees k of members O(k), checked as c_i = k^i / i! in integers;
+    # a non-empty block also needs c0, c1, c2 and a Serre shift n - 1 <= 2
     members = getattr(members, "members", members)   # Collection or iterable
     ks = []
     for m in members:
         x.check_class(m)
-        if m[0] != 1 or m[1].denominator != 1:
-            raise DomainError("semistability not certified")
-        k = int(m[1])
-        if m != line_bundle_class(x, k):
+        k = m[1].numerator
+        if m[1].denominator != 1 or any(
+                c.numerator * factorial(i) != k ** i * c.denominator
+                for i, c in enumerate(m)):
             raise DomainError("semistability not certified")
         ks.append(k)
+    if ks and x.dim < 2:
+        raise DomainError("class needs at least coefficients c0, c1, c2")
+    if ks and x.dim > 3:
+        raise DomainError("shift out of range for double tilt")
     return ks
 
 
@@ -224,21 +278,29 @@ def blms_check(x: VarietyDesc, members, p: TiltParams) -> BlmsReport:
       (3) nonzero lattice classes with identically zero charge pair
           nontrivially with ch O, so the charge restricted to the residual
           lattice has trivial kernel.
+
+    Each O(k) enters the heart test as the integer class (2, 2k, k^2), so
+    mu_H = k and mu_{alpha,beta} = ((k - beta)^2 - alpha^2) /
+    (2 alpha (k - beta)), +infinity at k = beta, and its charge is
+    Z = d (alpha^2 - (k - beta)^2)/2 + i alpha d (k - beta).  Condition (2)
+    therefore always holds for alpha > 0: Im Z = 0 only at k = beta, where
+    Re Z = d alpha^2 / 2.
     """
     ks = _line_bundle_degrees(x, members)
     items: list[BlmsItem] = []
     serre_shift = x.dim - 1
     for k in ks:
-        verdict = heart_case(x, line_bundle_class(x, k), 0, p)
+        verdict = _heart(2, 2 * k, k * k, 0, p)
         items.append(BlmsItem(
             1, f"O({k}) in heart at shift 0", verdict.in_heart,
             _checks_text(verdict)))
-        tw = heart_case(x, line_bundle_class(x, k - x.index), serre_shift, p)
+        j = k - x.index
+        tw = _heart(2, 2 * j, j * j, serre_shift, p)
         items.append(BlmsItem(
-            1, f"O({k - x.index})[{serre_shift}] in heart", tw.in_heart,
+            1, f"O({j})[{serre_shift}] in heart", tw.in_heart,
             _checks_text(tw)))
     for k in ks:
-        z = charge_tilt(x, line_bundle_class(x, k), 0, p)
+        z = _charge(x.degree, 2, *_tilt_numbers(2, 2 * k, k * k, p), p)
         items.append(BlmsItem(
             2, f"Z(O({k})) nonzero", not z.is_zero(),
             f"Z = {z.re} + {z.im}*i"))
@@ -251,11 +313,12 @@ def blms_check(x: VarietyDesc, members, p: TiltParams) -> BlmsReport:
 
 
 def _zero_charge_pairing(x: VarietyDesc) -> Fraction | None:
-    # condition (3): chi(O, minimal zero-charge class), None without the flag
+    # condition (3): chi(O, H^n / lambda_n) = G[0][n] / (scale lambda_n) on
+    # the stored pairing form; None without the flag
     if not x.low_deg_H_generated:
         return None
-    gen = ChernVector([Fraction(0)] * x.dim + [Fraction(1, x.denoms[x.dim])])
-    return euler_pairing(x, line_bundle_class(x, 0), gen)
+    scale, g = x._form
+    return Fraction(g[0][x.dim], scale * x.denoms[x.dim])
 
 
 def _checks_text(verdict: HeartVerdict) -> str:
@@ -317,10 +380,6 @@ def alpha_range(x: VarietyDesc, members, beta) -> list[AlphaInterval]:
     """
     be = rat(beta)
     ks = _line_bundle_degrees(x, members)
-    if ks:   # blms_check's guards: charges need c0, c1, c2; Serre shift <= 2
-        _degree_numbers(x, line_bundle_class(x, ks[0]))
-        if x.dim > 3:
-            raise DomainError("shift out of range for double tilt")
     js, surface = [k - x.index for k in ks], x.dim == 2
     if (any(k <= be for k in ks) or not surface and any(j >= be for j in js)
             or not _zero_charge_pairing(x)):

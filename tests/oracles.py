@@ -192,6 +192,18 @@ def tilt_re_im(d, c0, c1, c2, alpha_sq: Fraction, beta: Fraction):
     return re, im_over_alpha
 
 
+def tilt_slopes(c0, c1, c2, alpha: Fraction, beta: Fraction):
+    """(mu_H, mu_{alpha,beta}) of (c0, c1, c2), None standing for +infinity.
+
+    mu_H = c1/c0 and mu_{alpha,beta} = -Re Z / Im Z for the displayed tilt
+    charge; the degree cancels from both, so it is taken to be 1.
+    """
+    re, im_over_alpha = tilt_re_im(1, c0, c1, c2, alpha * alpha, beta)
+    mu_h = None if c0 == 0 else Fraction(c1) / c0
+    mu_t = None if im_over_alpha == 0 else -re / (alpha * im_over_alpha)
+    return mu_h, mu_t
+
+
 def wall_equation(d, v, w):
     """(C0, C1, C2) with C0 (alpha^2 + beta^2) + C1 beta + C2 = 0.
 

@@ -2,22 +2,30 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from kustab.exact import DomainError, QuadNumber
-from kustab.tilt import (TiltParams, alpha_range, blms_check, charge_h,
-                         charge_tilt, discriminant_h, heart_case, slope_h,
-                         slope_tilt, zero_charge_class)
+from kustab.config import variety_from_dict
+from kustab.tilt import (TiltParams, _zero_charge_pairing, alpha_range,
+                         blms_check, charge_h, charge_tilt, discriminant_h,
+                         heart_case, slope_h, slope_tilt, zero_charge_class)
 from kustab.variety import (PRESETS, SPINOR_CLASS, SPINOR_VARIETIES,
                             ChernVector, VarietyDesc, euler_pairing,
                             exp_twist, get_preset, line_bundle_class)
 
-from oracles import tilt_re_im
+from oracles import euler_closed_sum, tilt_re_im, tilt_slopes
 
 Q3 = get_preset("q3")
 Y4 = get_preset("y4")
+# the README's config variety (Q3's data under another name) and a P2 surface
+X = variety_from_dict({"name": "X", "dim": 3, "degree": 2, "index": 3,
+                       "todd": ["1", "3/2", "13/12", "1/2"],
+                       "denoms": [1, 1, 2, 12], "low_deg_H_generated": True})
+P2 = VarietyDesc(name="p2", dim=2, degree=1, todd=(1, Fraction(3, 2), 1),
+                 denoms=(1, 1, 2), index=3)
 STD = TiltParams(alpha=Fraction(1, 4), beta=Fraction(-1, 2))
 
 
@@ -172,14 +180,12 @@ FALLBACK_CHECKS = {0: ("mu_H > beta", "mu_tilt > mu"),
                    2: ("mu_H <= beta", "mu_tilt <= mu")}
 
 
-def _oracle_heart(x, v, shift, alpha, beta, mu):
-    """(case_id, ((check name, satisfied), ...)) from oracle slopes."""
-    re, im_over_alpha = tilt_re_im(x.degree, v[0], v[1], v[2],
-                                   alpha * alpha, beta)
-    truth = {
-        "mu_H > beta": v[0] == 0 or v[1] / v[0] > beta,   # mu_H = +inf at rank 0
-        "mu_tilt > mu": im_over_alpha == 0 or -re / (alpha * im_over_alpha) > mu,
-    }
+def _oracle_heart(v, shift, alpha, beta, mu):
+    """(case_id, ((check name, value, threshold, satisfied), ...)) from
+    oracle slopes; a value None stands for +infinity."""
+    mu_h, mu_t = tilt_slopes(v[0], v[1], v[2], alpha, beta)
+    truth = {"mu_H > beta": mu_h is None or mu_h > beta,
+             "mu_tilt > mu": mu_t is None or mu_t > mu}
     truth["mu_H <= beta"] = not truth["mu_H > beta"]
     truth["mu_tilt <= mu"] = not truth["mu_tilt > mu"]
     case = PAPER_CASES.get(
@@ -189,7 +195,13 @@ def _oracle_heart(x, v, shift, alpha, beta, mu):
     else:
         names = ("mu_H > beta" if case in (1, 3) else "mu_H <= beta",
                  "mu_tilt > mu" if case in (1, 2) else "mu_tilt <= mu")
-    return case, tuple((n, truth[n]) for n in names)
+    value = {"mu_H": (mu_h, beta), "mu_tilt": (mu_t, mu)}
+    return case, tuple((n, *value[n.split()[0]], truth[n]) for n in names)
+
+
+def _check_tuples(verdict):
+    return tuple((c.name, c.value.value, c.threshold, c.satisfied)
+                 for c in verdict.slope_checks)
 
 
 def test_heart_case_matches_case_oracle():
@@ -213,11 +225,124 @@ def test_heart_case_matches_case_oracle():
                         p = TiltParams(alpha=alpha, beta=beta, mu=mu)
                         for shift in (0, 1, 2):
                             got = heart_case(x, v, shift, p)
-                            case, checks = _oracle_heart(x, v, shift, alpha,
+                            case, checks = _oracle_heart(v, shift, alpha,
                                                          beta, mu)
                             assert got.case_id == case, (key, v, shift, p)
-                            assert tuple((c.name, c.satisfied)
-                                         for c in got.slope_checks) == checks
+                            assert _check_tuples(got) == checks
+
+
+def test_heart_case_matches_slope_oracle_on_truncated_classes():
+    # truncated classes with c0 < 0, c0 = 0 and c0 > 0; beta is put on mu_H,
+    # c2 on a zero tilt slope and mu on the tilt slope some of the time
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(800):
+        x = rng.choice(list(PRESETS.values()))
+        c0, c1, c2 = (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 12)))
+                      for _ in range(3))
+        alpha = Fraction(rng.randint(1, 20), rng.choice((1, 2, 4, 7)))
+        beta = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 8)))
+        if c0 != 0 and rng.random() < 0.2:
+            beta = c1 / c0
+        if rng.random() < 0.2:       # Re Z = 0
+            c2 = (alpha * alpha - beta * beta) / 2 * c0 + beta * c1
+        mu_h, mu_t = tilt_slopes(c0, c1, c2, alpha, beta)
+        mu = Fraction(rng.randint(-20, 20), rng.choice((1, 3, 5)))
+        if mu_t is not None and rng.random() < 0.3:
+            mu = mu_t
+        v = ChernVector([c0, c1, c2])
+        p = TiltParams(alpha=alpha, beta=beta, mu=mu)
+        for shift in (0, 1, 2):
+            got = heart_case(x, v, shift, p)
+            case, checks = _oracle_heart(v, shift, alpha, beta, mu)
+            assert (got.case_id, got.shift_of_sheaf) == (case, shift), (v, p)
+            assert _check_tuples(got) == checks, (v, shift, p)
+        seen.update({"c0 < 0": c0 < 0, "c0 = 0": c0 == 0,
+                     "mu_H = beta": mu_h == beta, "mu_tilt = inf": mu_t is None,
+                     "mu_tilt = 0": mu_t == 0, "mu_tilt = mu": mu_t == mu})
+    assert min(seen[k] for k in ("c0 < 0", "c0 = 0", "mu_H = beta",
+                                 "mu_tilt = inf", "mu_tilt = 0",
+                                 "mu_tilt = mu")) >= 20, seen
+
+
+def _oracle_blms_items(x, ks, alpha, beta, mu):
+    """(condition, label, passed, detail) of every blms_check item for the
+    block O(k), k in ks, from oracle slopes, charges and pairings."""
+    items, shift = [], x.dim - 1
+    for k in ks:
+        j = k - x.index
+        for d, s, label in ((k, 0, f"O({k}) in heart at shift 0"),
+                            (j, shift, f"O({j})[{shift}] in heart")):
+            case, checks = _oracle_heart((1, d, Fraction(d * d, 2)), s,
+                                         alpha, beta, mu)
+            parts = [f"{name}: {'inf' if value is None else value} vs {thr}"
+                     f" [{'ok' if ok else 'fail'}]"
+                     for name, value, thr, ok in checks]
+            items.append((1, label, case is not None,
+                          f"case {case or 'not-in-heart'}; " + "; ".join(parts)))
+    for k in ks:
+        re, im_over_alpha = tilt_re_im(x.degree, 1, k, Fraction(k * k, 2),
+                                       alpha * alpha, beta)
+        im = alpha * im_over_alpha
+        items.append((2, f"Z(O({k})) nonzero", re != 0 or im != 0,
+                      f"Z = {re} + {im}*i"))
+    label = "zero-charge classes pair with O"
+    if not x.low_deg_H_generated:
+        return items + [(3, label, False, "low-degree cohomology flag not set")]
+    top = [0] * x.dim + [Fraction(1, x.denoms[x.dim])]
+    chi = euler_closed_sum(x.degree, x.todd, [1] + [0] * x.dim, top)
+    return items + [(3, label, chi != 0,
+                     f"chi(O, minimal zero-charge class) = {chi}")]
+
+
+def test_blms_items_match_slope_oracle():
+    # random alpha, beta and nonzero mu, and for each member and Serre image
+    # O(j) the boundaries beta = j (tilt slope +inf), alpha = |j - beta|
+    # (tilt slope 0) and mu equal to the tilt slope
+    rng = random.Random(61)
+    seen = Counter()
+    flag_off = dataclasses.replace(Q3, low_deg_H_generated=False)
+    for x in (Q3, Y4, get_preset("y2"), X, P2, flag_off):
+        for a in range(-3, 3):
+            for m in (1, 2, 3):
+                ks = list(range(a, a + m))
+                mem = tuple(line_bundle_class(x, k) for k in ks)
+                params = [(Fraction(rng.randint(1, 24), 8),
+                           Fraction(rng.randint(-32, 16), 8),
+                           Fraction(rng.choice((-1, 1)) * rng.randint(1, 24), 6))
+                          for _ in range(3)]
+                for j in ks + [k - x.index for k in ks]:
+                    alpha = Fraction(rng.randint(1, 24), 8)
+                    beta = j + Fraction(rng.randint(-12, 12), 4)
+                    mu_t = tilt_slopes(1, j, Fraction(j * j, 2), alpha, beta)[1]
+                    params += [(alpha, Fraction(j), Fraction(rng.randint(-9, 9), 4)),
+                               (alpha, beta, Fraction(-1) if mu_t is None else mu_t)]
+                    if beta != j:
+                        params.append((abs(j - beta), beta, Fraction(1, 3)))
+                for alpha, beta, mu in params:
+                    rep = blms_check(x, mem, TiltParams(alpha, beta, mu))
+                    want = _oracle_blms_items(x, ks, alpha, beta, mu)
+                    assert [(i.condition, i.label, i.passed, i.detail)
+                            for i in rep.items] == want, (x.name, ks, alpha,
+                                                           beta, mu)
+                    assert rep.passed == all(i[2] for i in want)
+                    seen.update(passed=rep.passed, failed=not rep.passed)
+                    for j in ks + [k - x.index for k in ks]:
+                        mu_t = tilt_slopes(1, j, Fraction(j * j, 2), alpha,
+                                           beta)[1]
+                        seen.update({"inf": mu_t is None, "zero": mu_t == 0,
+                                     "at mu": mu_t == mu})
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+
+def test_zero_charge_pairing_is_the_stored_form_entry():
+    # chi(O, H^n / lambda_n) read off the pairing form equals euler_pairing
+    for x in (*PRESETS.values(), X, P2):
+        top = ChernVector([0] * x.dim + [Fraction(1, x.denoms[x.dim])])
+        assert _zero_charge_pairing(x) == euler_pairing(
+            x, line_bundle_class(x, 0), top), x.name
+    flag_off = dataclasses.replace(Q3, low_deg_H_generated=False)
+    assert _zero_charge_pairing(flag_off) is None
 
 
 def test_zero_charge_class():
