@@ -334,22 +334,27 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Z-basis of the integer points of the null space of a rational matrix.
 
     Each row is scaled to a primitive integer row (the null space does not
-    change), the integer kernel is taken by unimodular column reduction and
-    put in row Hermite normal form, so output is reproducible.
+    change) and the integer kernel is taken in row Hermite normal form, so
+    output is reproducible.
 
     >>> [tuple(map(int, k)) for k in kernel_basis(RatMatrix.from_rows([[2, 1, 1]]))]
     [(1, 0, -2), (0, 1, -1)]
     """
     if m.cols == 0:
         return []
-    kernel = int_kernel([_primitive_ints(r) for r in m.entries])
-    return [tuple(Fraction(c) for c in r) for r in hnf_rows(kernel)]
+    return [tuple(Fraction(c) for c in r)
+            for r in int_kernel([_primitive_ints(r) for r in m.entries])]
+
+
+def _cleared(v) -> tuple[int, list[int]]:
+    """(p, V) with p the lcm of the denominators of the rationals v, V = p * v."""
+    p = lcm(*(x.denominator for x in v))
+    return p, [x.numerator * (p // x.denominator) for x in v]
 
 
 def _primitive_ints(v) -> list[int]:
     # clear denominators, divide by the content, make the leading entry positive
-    scale = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (scale // x.denominator) for x in v]
+    ints = _cleared(v)[1]
     content = gcd(*ints)
     if content == 0:
         return ints
@@ -381,83 +386,51 @@ def lattice_primitive(v, denoms) -> tuple[int, ...]:
 # -- integer lattice helpers --------------------------------------------------
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def int_kernel(a: list[list[int]]) -> list[list[int]]:
-    """Z-basis of the integer kernel {x : a @ x = 0} of an integer matrix.
+    """Z-basis of the integer kernel {x : a @ x = 0}, in row Hermite normal form.
 
-    Unimodular column reduction: the kernel of an integer matrix over Z is
-    automatically saturated, so the basis spans every integer solution.
+    The rows (a^T e_j | e_j) span the lattice of all (a x, x) with x integer;
+    in its Hermite normal form the rows whose a^T part vanishes come last and
+    span exactly the (0, x) with a x = 0, so their e_j parts are the HNF of
+    the saturated kernel.
     """
     if not a:
         raise DomainError("empty matrix")
-    rows, cols = len(a), len(a[0])
-    b = [list(r) for r in a]
-    u = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def colop(j, k, x, y, z, w):
-        # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k)
-        for mat in (b, u):
-            for r in mat:
-                r[j], r[k] = x * r[j] + y * r[k], z * r[j] + w * r[k]
-
-    lead = 0
-    for r in range(rows):
-        act = [j for j in range(lead, cols) if b[r][j] != 0]
-        while len(act) > 1:
-            j, k = act[0], act[1]
-            g, s, t = _xgcd(b[r][j], b[r][k])
-            colop(j, k, s, t, -(b[r][k] // g), b[r][j] // g)
-            act = [j for j in range(lead, cols) if b[r][j] != 0]
-        if act:
-            j = act[0]
-            if j != lead:
-                colop(lead, j, 0, 1, 1, 0)
-            lead += 1
-    return [[u[i][j] for i in range(cols)] for j in range(lead, cols)]
+    k, cols = len(a), len(a[0])
+    aug = [[r[j] for r in a] + [int(i == j) for i in range(cols)]
+           for j in range(cols)]
+    return [r[k:] for r in hnf_rows(aug) if not any(r[:k])]
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form of the lattice spanned by integer rows.
 
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows are dropped.  The result is the canonical basis
-    used for reproducible residual-lattice output.
+    Each column is cleared below the pivot by Euclid's algorithm: the row
+    with the smallest nonzero entry reduces the others with floor division
+    until it is the only nonzero one left.  Pivots are then made positive,
+    entries above each pivot are reduced into [0, pivot) and zero rows are
+    dropped.  The HNF of a lattice is unique, which makes it the canonical
+    basis for reproducible residual-lattice output.
     """
     m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    cols = len(m[0])
     r = 0
-    for c in range(cols):
-        idx = [i for i in range(r, len(m)) if m[i][c] != 0]
-        while len(idx) > 1:
-            i, j = idx[0], idx[1]
-            g, s, t = _xgcd(m[i][c], m[j][c])
-            mi = [s * x + t * y for x, y in zip(m[i], m[j])]
-            mj = [-(m[j][c] // g) * x + (m[i][c] // g) * y
-                  for x, y in zip(m[i], m[j])]
-            m[i], m[j] = mi, mj
-            idx = [i for i in range(r, len(m)) if m[i][c] != 0]
-        if not idx:
+    for c in range(len(m[0]) if m else 0):
+        live = [v for v in m[r:] if v[c]]
+        if not live:
             continue
-        i = idx[0]
-        m[r], m[i] = m[i], m[r]
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
+        rest = [v for v in m[r:] if not v[c]]
+        while len(live) > 1:
+            live.sort(key=lambda v: abs(v[c]))
+            piv, others, live = live[0], live[1:], live[:1]
+            for v in others:
+                q = v[c] // piv[c]
+                v = [x - q * y for x, y in zip(v, piv)]
+                (live if v[c] else rest).append(v)
+        piv = live[0] if live[0][c] > 0 else [-x for x in live[0]]
         for i in range(r):
-            q = m[i][c] // m[r][c]
+            q = m[i][c] // piv[c]
             if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - q * y for x, y in zip(m[i], piv)]
+        m[r:] = [piv, *rest]
         r += 1
     return m[:r]

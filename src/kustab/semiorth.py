@@ -63,9 +63,9 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     """Canonical basis of the residual lattice of the collection.
 
     The chi-orthogonality system is solved over the integers in lattice
-    coordinates (the integer kernel is automatically saturated); kernel_basis
-    returns it in row Hermite normal form with positive pivots, so the output
-    is deterministic and each basis vector is primitive.
+    coordinates: kernel_basis reads the kernel off the Hermite normal form
+    of the rows (A^T e_j | e_j) of the functional matrix A, so the basis is
+    saturated, in row HNF with positive pivots, and deterministic.
     """
     n = x.dim     # gens: the lattice basis H^j / lambda_j
     gens = [from_lattice_coords(x, [int(i == j) for i in range(n + 1)])

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
-from .exact import DomainError, QuadNumber, rat
+from .exact import DomainError, QuadNumber, _cleared, rat
 from .variety import ChernVector, VarietyDesc, _degree_numbers
 
 
@@ -115,9 +115,8 @@ def _integral(v: ChernVector) -> tuple[int, int, int, int]:
     # (M, C0, C1, C2) of the module docstring: (c_0, c_1, c_2) = (C0, C1, C2)/M
     if len(v) < 3:
         raise DomainError("class needs at least coefficients c0, c1, c2")
-    c = v[0], v[1], v[2]
-    m = lcm(*(q.denominator for q in c))
-    return (m, *(q.numerator * (m // q.denominator) for q in c))
+    m, c = _cleared(v.coeffs[:3])
+    return (m, *c)
 
 
 def _tilt_numbers(c0: int, c1: int, c2: int, p: TiltParams) -> tuple[int, int]:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
-from .exact import DomainError, RatMatrix, rat
+from .exact import DomainError, RatMatrix, _cleared, rat
 
 
 class ChernVector:
@@ -118,10 +118,9 @@ class VarietyDesc:
             raise DomainError("todd and denoms must have length dim + 1")
         if any(d < 1 for d in self.denoms):
             raise DomainError("denominators must be positive")
-        n, scale = self.dim, lcm(*(t.denominator for t in self.todd))
-        td = [t.numerator * scale // t.denominator * self.degree for t in self.todd]
+        n, (scale, td) = self.dim, _cleared(self.todd)
         object.__setattr__(self, "_form", (scale, tuple(tuple(
-            (-1) ** i * td[n - i - j] if i + j <= n else 0
+            (-1) ** i * td[n - i - j] * self.degree if i + j <= n else 0
             for j in range(n + 1)) for i in range(n + 1))))
         if self.todd[0] != 1:
             warnings.warn(f"{self.name}: todd[0] = {self.todd[0]} != 1")
@@ -209,21 +208,15 @@ def gram_matrix(x: VarietyDesc, convention: str = "chi") -> RatMatrix:
                                 for row in x._form[1]])
 
 
-def _cleared(x: VarietyDesc, v: ChernVector) -> tuple[int, list[int]]:
-    # (p, V) with V = p * v an integer vector, p the lcm of the denominators
-    p = lcm(*(c.denominator for c in x.check_class(v)))
-    return p, [c.numerator * (p // c.denominator) for c in v]
-
-
 def _pairing_matrix(x: VarietyDesc, rows, cols) -> RatMatrix:
     # entry (i, j) = chi(rows[i], cols[j]) = V_i^T G W_j / (scale p_i q_j);
     # every pairing is computed here, with G W_j formed once per column
     scale, g = x._form
     gw = [(scale * q, [sum(map(mul, row, w)) for row in g])
-          for q, w in (_cleared(x, c) for c in cols)]
+          for q, w in (_cleared(x.check_class(c)) for c in cols)]
     return RatMatrix(tuple(
         tuple(Fraction(sum(map(mul, v, col)), p * d) for d, col in gw)
-        for p, v in (_cleared(x, r) for r in rows)))
+        for p, v in (_cleared(x.check_class(r)) for r in rows)))
 
 
 def _serre_matrix(g: RatMatrix) -> RatMatrix:

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
-from .exact import DomainError, QuadNumber, rat
+from .exact import DomainError, QuadNumber, _cleared, rat
 from .variety import (ChernVector, VarietyDesc, _degree_numbers,
                       _lattice_integral)
 
@@ -190,8 +190,7 @@ def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:
 
 def _integer_line(v: ChernVector) -> tuple[int, ...]:
     """(M, V0, V1, V2, N, isqrt(N)) of the module docstring."""
-    m = lcm(*(c.denominator for c in v.coeffs[:3]))
-    v0, v1, v2 = (c.numerator * (m // c.denominator) for c in v.coeffs[:3])
+    m, (v0, v1, v2) = _cleared(v.coeffs[:3])
     n = v1 * v1 - 2 * v0 * v2
     return m, v0, v1, v2, n, isqrt(n)
 
