@@ -333,9 +333,9 @@ class RatMatrix:
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Z-basis of the integer points of the null space of a rational matrix.
 
-    Each row is scaled to a primitive integer row (the null space does not
-    change) and the integer kernel is taken in row Hermite normal form, so
-    output is reproducible.
+    Each row is scaled to an integer row (the null space does not change)
+    and the integer kernel is taken in row Hermite normal form, so output
+    is reproducible.
 
     >>> [tuple(map(int, k)) for k in kernel_basis(RatMatrix.from_rows([[2, 1, 1]]))]
     [(1, 0, -2), (0, 1, -1)]
@@ -343,24 +343,13 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     if m.cols == 0:
         return []
     return [tuple(Fraction(c) for c in r)
-            for r in int_kernel([_primitive_ints(r) for r in m.entries])]
+            for r in int_kernel([_cleared(r)[1] for r in m.entries])]
 
 
 def _cleared(v) -> tuple[int, list[int]]:
     """(p, V) with p the lcm of the denominators of the rationals v, V = p * v."""
     p = lcm(*(x.denominator for x in v))
     return p, [x.numerator * (p // x.denominator) for x in v]
-
-
-def _primitive_ints(v) -> list[int]:
-    # clear denominators, divide by the content, make the leading entry positive
-    ints = _cleared(v)[1]
-    content = gcd(*ints)
-    if content == 0:
-        return ints
-    if next(x for x in ints if x) < 0:
-        content = -content
-    return [x // content for x in ints]
 
 
 def lattice_primitive(v, denoms) -> tuple[int, ...]:
@@ -380,7 +369,11 @@ def lattice_primitive(v, denoms) -> tuple[int, ...]:
         raise DomainError("zero class")
     if any(d <= 0 or int(d) != d for d in denoms):
         raise DomainError("denominators must be positive integers")
-    return tuple(_primitive_ints([x * int(d) for x, d in zip(v, denoms)]))
+    ints = _cleared([x * int(d) for x, d in zip(v, denoms)])[1]
+    content = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        content = -content
+    return tuple(x // content for x in ints)
 
 
 # -- integer lattice helpers --------------------------------------------------
