@@ -364,7 +364,7 @@ def run(argv: list[str]) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except DomainError as exc:
-        sys.stdout.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {exc}\n")
         return 3
 
 

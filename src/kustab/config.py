@@ -28,6 +28,14 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _todd_entry(value):
+    # rat() raises ValueError on "x" and ZeroDivisionError on "1/0"
+    try:
+        return rat(value)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("config field todd must hold rationals") from None
+
+
 def variety_from_dict(rec: dict) -> VarietyDesc:
     if not isinstance(rec, dict):
         raise DomainError("config variety entry must be an object")
@@ -40,7 +48,7 @@ def variety_from_dict(rec: dict) -> VarietyDesc:
             dim=_integer(rec["dim"], "dim"),
             degree=_integer(rec["degree"], "degree"),
             index=_integer(rec["index"], "index"),
-            todd=tuple(rat(t) for t in rec["todd"]),
+            todd=tuple(_todd_entry(t) for t in rec["todd"]),
             denoms=tuple(_integer(d, "denoms") for d in rec["denoms"]),
             low_deg_H_generated=flag)
     except KeyError as exc:
@@ -52,15 +60,17 @@ def load_config(path: str) -> tuple[dict[str, VarietyDesc], str | None]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     varieties = {}
-    names = []
-    for rec in doc.get("varieties", []):
+    recs, default = doc.get("varieties", []), doc.get("default_variety")
+    if not isinstance(recs, list):
+        raise DomainError("config field varieties must be a list")
+    if default is not None and not isinstance(default, str):
+        raise DomainError("config field default_variety must be a string")
+    for rec in recs:
         v = variety_from_dict(rec)
         key = v.name.lower()
-        if key in names:
+        if key in varieties:
             raise DomainError(f"duplicate variety name: {v.name}")
-        names.append(key)
         varieties[key] = v
-    default = doc.get("default_variety")
     return varieties, (default.lower() if default else None)
 
 

@@ -24,6 +24,13 @@ def invoke(capsys, *argv):
     return code, out
 
 
+def invoke_err(capsys, *argv):
+    # (exit code, stdout, stderr) of one invocation
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def invoke_json(capsys, *argv):
     code, out = invoke(capsys, *argv, "--json")
     return code, json.loads(out)
@@ -116,18 +123,18 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_domain_errors_exit_three(capsys):
-    code, out = invoke(capsys, "beta0", "--variety", "q3", "1,0,0")
-    assert code == 3
-    assert "no positive discriminant" in out
+    code, out, err = invoke_err(capsys, "beta0", "--variety", "q3", "1,0,0")
+    assert (code, out) == (3, "")
+    assert "no positive discriminant" in err
     code, _ = invoke(capsys, "chi", "--variety", "nosuch", "O", "O")
     assert code == 3
     for cmd in ("beta0", "nowall", "walls", "svg"):
-        code, out = invoke(capsys, cmd, "--variety", "q3", "1/2,0,-1")
-        assert (code, out) == (3, "error: class not in lattice\n")
+        code, out, err = invoke_err(capsys, cmd, "--variety", "q3", "1/2,0,-1")
+        assert (code, out, err) == (3, "", "error: class not in lattice\n")
     for cmd in ("walls", "svg"):
-        code, out = invoke(capsys, cmd, "--variety", "q3", "1,0,-1",
-                           "--max-rank", "-1")
-        assert (code, out) == (3, "error: negative scan bound\n")
+        code, out, err = invoke_err(capsys, cmd, "--variety", "q3", "1,0,-1",
+                                    "--max-rank", "-1")
+        assert (code, out, err) == (3, "", "error: negative scan bound\n")
 
 
 def test_alpha_range_on_a_curve_exits_three(tmp_path, capsys):
@@ -138,10 +145,10 @@ def test_alpha_range_on_a_curve_exits_three(tmp_path, capsys):
         "denoms": [1, 1]}]}))
     for argv in (["alpha-range", "--beta", "-1/2"],
                  ["blms", "--alpha", "1/4", "--beta", "-1/2"]):
-        code = run([*argv, "--config", str(cfg), "--variety", "p1"])
-        out, err = capsys.readouterr()
+        code, out, err = invoke_err(capsys, *argv, "--config", str(cfg),
+                                    "--variety", "p1")
         assert (code, out, err) == (
-            3, "error: class needs at least coefficients c0, c1, c2\n", ""), argv
+            3, "", "error: class needs at least coefficients c0, c1, c2\n"), argv
 
 
 def test_determinism_text_and_json(capsys):
@@ -199,9 +206,9 @@ def test_config_flag_must_be_boolean(tmp_path, capsys):
     for bad in ("false", 0, 1, None, []):
         cfg.write_text(json.dumps({"varieties": [
             dict(rec, low_deg_H_generated=bad)]}))
-        code, out = invoke(capsys, *argv, "--config", str(cfg))
+        code, _, err = invoke_err(capsys, *argv, "--config", str(cfg))
         assert code == 3, bad
-        assert out.startswith("error: ") and "low_deg_H_generated" in out
+        assert err.startswith("error: ") and "low_deg_H_generated" in err
 
 
 def test_config_integer_fields_reject_floats_and_booleans(tmp_path, capsys):
@@ -215,18 +222,35 @@ def test_config_integer_fields_reject_floats_and_booleans(tmp_path, capsys):
     for field, bad in (("dim", 3.0), ("degree", 2.9), ("index", True),
                        ("denoms", [1, 1, 2.5, 12]), ("denoms", [1, 1, 2, False])):
         cfg.write_text(json.dumps({"varieties": [dict(rec, **{field: bad})]}))
-        code, out = invoke(capsys, *argv)
+        code, _, err = invoke_err(capsys, *argv)
         assert code == 3, (field, bad)
-        assert out == f"error: config field {field} must be an integer\n"
+        assert err == f"error: config field {field} must be an integer\n"
 
 
 def test_config_variety_entry_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for entry in ("X", 3, ["X"], None):
         cfg.write_text(json.dumps({"varieties": [entry]}))
-        code, out = invoke(capsys, "chi", "O", "O", "--config", str(cfg))
+        code, _, err = invoke_err(capsys, "chi", "O", "O", "--config", str(cfg))
         assert code == 3, entry
-        assert out == "error: config variety entry must be an object\n"
+        assert err == "error: config variety entry must be an object\n"
+
+
+def test_config_shapes_exit_three(tmp_path, capsys):
+    rec = {"name": "X", "dim": 3, "degree": 2, "index": 3,
+           "todd": ["1", "3/2", "13/12", "1/2"], "denoms": [1, 1, 2, 12]}
+    cfg = tmp_path / "cfg.json"
+    for doc, message in (
+            ({"default_variety": 3, "varieties": [rec]},
+             "config field default_variety must be a string"),
+            ({"varieties": 5}, "config field varieties must be a list"),
+            ({"varieties": [dict(rec, todd=["1", "x", "13/12", "1/2"])]},
+             "config field todd must hold rationals"),
+            ({"varieties": [dict(rec, todd=["1", "3/2", "1/0", "1/2"])]},
+             "config field todd must hold rationals")):
+        cfg.write_text(json.dumps(doc))
+        got = invoke_err(capsys, "chi", "O", "O", "--config", str(cfg))
+        assert got == (3, "", f"error: {message}\n"), doc
 
 
 def test_output_independent_of_hash_seed():

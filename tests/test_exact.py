@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 
@@ -311,3 +313,62 @@ def test_lattice_routines_match_sympy():
                 assert (hermite_normal_form(sympy.Matrix(h).T)
                         == hermite_normal_form(sympy.Matrix(rows).T)), rows
     assert saturated >= 50, saturated
+
+
+def _is_hnf(h):
+    # no zero rows, positive pivots moving strictly right, zeros below each
+    # pivot (by the moving pivots) and entries above it in [0, pivot)
+    pivots = [next((j for j, x in enumerate(r) if x), None) for r in h]
+    if None in pivots or pivots != sorted(set(pivots)):
+        return False
+    return all(h[r][c] > 0 and all(0 <= h[i][c] < h[r][c] for i in range(r))
+               for r, c in enumerate(pivots))
+
+
+def _reduce(v, h):
+    # v minus the multiple of each HNF row that clears its pivot entry; the
+    # result is 0 exactly when v lies in the row lattice of h
+    for r in h:
+        c = next(j for j, x in enumerate(r) if x)
+        v = [x - v[c] // r[c] * y for x, y in zip(v, r)]
+    return v
+
+
+def test_lattice_routines_without_sympy():
+    # int_kernel: rows vanish under a, n - rank of them, and every kernel
+    # vector of a small box lies in their span (saturation); hnf_rows: HNF
+    # shape, unchanged under unimodular row operations on its input
+    rng = random.Random(2718)
+    boxed = 0
+    for t in range(240):
+        if t % 2:
+            a = _random_int_matrix(rng)
+        else:
+            a = [[rng.randint(-2, 2) for _ in range(rng.randint(2, 5))]]
+            a += [[rng.randint(-2, 2) for _ in a[0]]
+                  for _ in range(rng.randint(0, 2))]
+        cols = len(a[0])
+        kernel = int_kernel(a)
+        assert all(sum(map(mul, r, k)) == 0 for r in a for k in kernel), a
+        assert len(kernel) == cols - row_reduce_rank(a), a
+        assert _is_hnf(kernel), a
+        span = range(-2, 3) if cols <= 4 else range(-1, 2)
+        for x in product(span, repeat=cols):
+            if any(x) and all(sum(map(mul, r, x)) == 0 for r in a):
+                assert not any(_reduce(list(x), kernel)), (a, x)
+                boxed += 1
+        h = hnf_rows(a)
+        assert _is_hnf(h) and len(h) == row_reduce_rank(a), a
+        b = [list(r) for r in a] + [[0] * cols]
+        for _ in range(8):
+            i, j = rng.sample(range(len(b)), 2)
+            op = rng.randrange(3)
+            if op == 0:
+                k = rng.choice((-3, -2, -1, 1, 2, 3))
+                b[i] = [x + k * y for x, y in zip(b[i], b[j])]
+            elif op == 1:
+                b[i], b[j] = b[j], b[i]
+            else:
+                b[i] = [-x for x in b[i]]
+        assert hnf_rows(b) == h, (a, b)
+    assert boxed >= 500, boxed
