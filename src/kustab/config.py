@@ -28,6 +28,13 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _list(rec: dict, field: str) -> list:
+    value = rec[field]
+    if not isinstance(value, list):
+        raise DomainError(f"config field {field} must be a list")
+    return value
+
+
 def _todd_entry(value):
     # rat() raises ValueError on "x" and ZeroDivisionError on "1/0"
     try:
@@ -48,8 +55,8 @@ def variety_from_dict(rec: dict) -> VarietyDesc:
             dim=_integer(rec["dim"], "dim"),
             degree=_integer(rec["degree"], "degree"),
             index=_integer(rec["index"], "index"),
-            todd=tuple(_todd_entry(t) for t in rec["todd"]),
-            denoms=tuple(_integer(d, "denoms") for d in rec["denoms"]),
+            todd=tuple(_todd_entry(t) for t in _list(rec, "todd")),
+            denoms=tuple(_integer(d, "denoms") for d in _list(rec, "denoms")),
             low_deg_H_generated=flag)
     except KeyError as exc:
         raise DomainError(f"config variety missing field {exc}") from None

@@ -5,17 +5,24 @@ lattice is { v : chi(E_i, v) = 0 for all i }.  This module computes a
 canonical basis of that sublattice, the numerical projection onto it, the
 induced Serre action, and the bookkeeping verdicts used to certify fullness
 arguments at the lattice level.
+
+Every chi(E_i, .) is read off the variety's integer pairing form (scale, G):
+a member cleared to E_i = M_i / p_i has the integer functional F_i = M_i^T G,
+and chi(E_i, W / q) = F_i . W / (scale p_i q) for an integer vector W.  The
+residual test, the kernel, the projection system and the Serre eigenvalue
+test are integer dot products and Hermite normal forms of these rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, lcm
+from operator import mul
 
-from .exact import DomainError, RatMatrix, hnf_rows, kernel_basis
+from .exact import DomainError, RatMatrix, _cleared, hnf_rows, int_kernel
 from .variety import (ChernVector, VarietyDesc, _pairing_matrix, _serre_matrix,
-                      euler_pairing, from_lattice_coords, in_lattice,
-                      serre_inverse_class, to_lattice_coords)
+                      from_lattice_coords, in_lattice, to_lattice_coords)
 
 
 @dataclass(frozen=True)
@@ -59,24 +66,36 @@ def is_numerically_exceptional(c: Collection) -> bool:
                for i in range(m))
 
 
+def _member_rows(x: VarietyDesc, members) -> list[tuple[list[int], list[int]]]:
+    # (M_i, F_i) per member E_i = M_i / p_i, with M_i an integer vector and
+    # F_i = M_i^T G its functional: chi(E_i, W / q) = F_i . W / (scale p_i q)
+    cols = list(zip(*x._form[1]))
+    return [(m, [_dot(m, col) for col in cols])
+            for m in (_cleared(x.check_class(e))[1] for e in members)]
+
+
+def _dot(f, w) -> int:
+    return sum(map(mul, f, w))
+
+
 def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     """Canonical basis of the residual lattice of the collection.
 
-    The chi-orthogonality system is solved over the integers in lattice
-    coordinates: kernel_basis reads the kernel off the Hermite normal form
-    of the rows (A^T e_j | e_j) of the functional matrix A, so the basis is
-    saturated, in row HNF with positive pivots, and deterministic.
+    On the lattice basis H^j / lambda_j the functional chi(E_i, .) is a
+    positive multiple of the integer row F_i[j] * L / lambda_j, with F_i the
+    member's integer functional and L the lcm of the lambda_j.  int_kernel
+    reads the kernel of those rows off a Hermite normal form, so the basis
+    is saturated, in row HNF with positive pivots, and deterministic.
     """
-    n = x.dim     # gens: the lattice basis H^j / lambda_j
-    gens = [from_lattice_coords(x, [int(i == j) for i in range(n + 1)])
-            for j in range(n + 1)]
+    n = x.dim     # no members: the lattice basis H^j / lambda_j
     if not c.members:
-        return gens
+        return [from_lattice_coords(x, [int(i == j) for i in range(n + 1)])
+                for j in range(n + 1)]
     if not all(in_lattice(x, m) for m in c.members):
         raise DomainError("collection member not in lattice")
-    # functional matrix: row i, column j = chi(E_i, H^j / lambda_j)
-    return [from_lattice_coords(x, k)
-            for k in kernel_basis(_pairing_matrix(x, c.members, gens))]
+    steps = [lcm(*x.denoms) // d for d in x.denoms]
+    return [from_lattice_coords(x, k) for k in int_kernel(
+        [list(map(mul, f, steps)) for _, f in _member_rows(x, c.members)])]
 
 
 def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
@@ -84,24 +103,29 @@ def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
 
     Subtracts the unique u in span(E_1, ..., E_m) with chi(E_j, v - u) = 0
     for every j; this is the numerical shadow of the projection functor of
-    the semiorthogonal decomposition.
+    the semiorthogonal decomposition.  With E_i = M_i / p_i and v = W / q it
+    is u = sum b_i M_i / q, where sum_i (F_j . M_i) b_i = F_j . W.
     """
     x.check_class(v)
     if not c.members:
         return v
-    gram = _pairing_matrix(x, c.members, c.members)
-    rhs = [r[0] for r in _pairing_matrix(x, c.members, (v,)).entries]
+    rows = _member_rows(x, c.members)
+    q, w = _cleared(v)
+    gram = [[_dot(f, m) for m, _ in rows] for _, f in rows]
+    rhs = [_dot(f, w) for _, f in rows]
     try:
-        coeffs = gram.solve(rhs)
+        b = RatMatrix.from_rows(gram).solve(rhs)
     except DomainError:
         raise DomainError("degenerate collection pairing") from None
-    return v - sum((a * e for a, e in zip(coeffs, c.members)),
-                   ChernVector([0] * len(v)))
+    return ChernVector((wk - _dot(b, col)) / q
+                       for wk, col in zip(w, zip(*(m for m, _ in rows))))
 
 
 def is_residual(x: VarietyDesc, c: Collection, v: ChernVector) -> bool:
-    return in_lattice(x, v) and not any(
-        r[0] for r in _pairing_matrix(x, c.members, (v,)).entries)
+    if not in_lattice(x, v):
+        return False
+    w = _cleared(v)[1]
+    return not any(_dot(f, w) for _, f in _member_rows(x, c.members))
 
 
 def serre_on_residual(x: VarietyDesc, c: Collection,
@@ -135,23 +159,41 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
 def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport:
     """Self-pairing, Serre eigenvalue and labels of a residual class.
 
-    The eigenvalue test applies the induced inverse Serre action directly:
-    v is a +1 (resp. -1) eigenvector of the residual Serre action exactly
-    when the projection of its ambient inverse Serre image is v (resp. -v).
+    The eigenvalue is e (+1 or -1) when the induced inverse Serre action
+    P . S^-1 maps v to e v, P being the projection along span(E).  This is
+    tested by span membership: P is a projection with kernel span_Q(E) that
+    fixes the residual v, so P(u) = e v for u = S^-1 v exactly when u - e v
+    lies in span_Q(E).  The members are independent, so that holds when the
+    integer row n! p (u - e v) leaves the rank of the cleared members
+    M_1, ..., M_m unchanged; for v = V / p, n! p u has the integer entries
+    (-1)^n sum_k V_(i-k) r^k n! / k!, r the index.  DomainError "degenerate
+    collection pairing" is raised when the members' Gram is singular.
     """
     x.check_class(v)
     if v.is_zero():
         raise DomainError("zero class")
-    if not is_residual(x, c, v):
+    if not in_lattice(x, v):
         raise DomainError("not residual")
-    chi_self = euler_pairing(x, v, v)
-    w = sod_project(x, c, serre_inverse_class(x, v))
-    if w == v:
-        eigen: int | None = 1
-    elif w == -v:
-        eigen = -1
-    else:
-        eigen = None
+    rows = _member_rows(x, c.members)
+    p, vv = _cleared(v)
+    if any(_dot(f, vv) for _, f in rows):
+        raise DomainError("not residual")
+    scale, g = x._form
+    chi_self = Fraction(_dot(vv, [_dot(r, vv) for r in g]), scale * p * p)
+    if len(hnf_rows([[_dot(f, m) for m, _ in rows]
+                     for _, f in rows])) < len(rows):
+        raise DomainError("degenerate collection pairing")
+    n, big = x.dim, factorial(x.dim)
+    twist = [x.index ** k * (big // factorial(k)) for k in range(n + 1)]
+    u = [(-1) ** n * sum(vv[i - k] * twist[k] for k in range(i + 1))
+         for i in range(n + 1)]
+    members = [m for m, _ in rows]
+    eigen: int | None = None
+    for e in (1, -1):
+        w = [a - e * big * b for a, b in zip(u, vv)]     # n! p (u - e v)
+        if len(hnf_rows([*members, w])) == len(members):
+            eigen = e
+            break
     labels = set()
     if chi_self == 1:
         labels.add("numerically-exceptional")

@@ -256,8 +256,9 @@ def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:
 
 
 def _lattice_integral(x: VarietyDesc, v: ChernVector) -> bool:
-    # the in_lattice rule on the coefficients v has, so truncations qualify too
-    return all((c * d).denominator == 1 for c, d in zip(v, x.denoms))
+    # the in_lattice rule on the coefficients v has, so truncations qualify
+    # too; for a reduced c, c * d is an integer exactly when den(c) divides d
+    return all(d % c.denominator == 0 for c, d in zip(v, x.denoms))
 
 
 def _degree_numbers(x: VarietyDesc, v: ChernVector) -> tuple[Fraction, ...]:
@@ -271,7 +272,7 @@ def _degree_numbers(x: VarietyDesc, v: ChernVector) -> tuple[Fraction, ...]:
 def to_lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int]:
     if not in_lattice(x, v):
         raise DomainError("class not in lattice")
-    return [int(c * d) for c, d in zip(v, x.denoms)]
+    return [c.numerator * (d // c.denominator) for c, d in zip(v, x.denoms)]
 
 
 def from_lattice_coords(x: VarietyDesc, coords) -> ChernVector:

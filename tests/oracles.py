@@ -135,6 +135,67 @@ def solve_upper_triangular(mat, rhs):
     return sol
 
 
+def solve_square(mat, rhs):
+    """The solution of a square system by Gauss-Jordan, or None when singular."""
+    n = len(rhs)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(mat, rhs)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+# -- residual classes by projection --------------------------------------------
+
+
+def classify_by_projection(degree, todd, index, denoms, members, v):
+    """(chi(v, v), Serre eigenvalue, labels) of a residual class, or an error.
+
+    The eigenvalue is e when P(S^-1 v) = e v, with S^-1 v = (-1)^n v e^(rH)
+    and P(u) = u - sum a_i E_i for the a solving chi(E_j, u - sum a_i E_i) = 0.
+    Errors come back as the message strings "zero class", "not residual"
+    (outside the lattice, or chi(E_i, v) != 0) and "degenerate collection
+    pairing" (singular Gram chi(E_j, E_i)), checked in that order.
+    """
+    n = len(todd) - 1
+    v = [Fraction(c) for c in v]
+
+    def chi(a, b):
+        return euler_closed_sum(degree, todd, a, b)
+
+    if all(c == 0 for c in v):
+        return "zero class"
+    if (any((c * d).denominator != 1 for c, d in zip(v, denoms))
+            or any(chi(e, v) != 0 for e in members)):
+        return "not residual"
+    chi_self = chi(v, v)
+    twist = [Fraction(index) ** k / factorial(k) for k in range(n + 1)]
+    u = [(-1) ** n * c for c in series_mul(v, twist, n)]
+    a = solve_square([[chi(ej, ei) for ei in members] for ej in members],
+                     [chi(ej, u) for ej in members])
+    if a is None:
+        return "degenerate collection pairing"
+    pu = [ui - sum(ai * e[k] for ai, e in zip(a, members))
+          for k, ui in enumerate(u)]
+    eigen = 1 if pu == v else -1 if pu == [-c for c in v] else None
+    labels = set()
+    if chi_self == 1:
+        labels.add("numerically-exceptional")
+    if chi_self == 0:
+        labels.add("isotropic")
+    if eigen == 1:
+        labels.add("numerical-point-object-even")
+    if eigen == -1:
+        labels.add("numerical-point-object-odd")
+    return chi_self, eigen, frozenset(labels)
+
+
 # -- exact arithmetic with one radical ----------------------------------------
 
 

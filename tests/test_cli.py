@@ -247,7 +247,11 @@ def test_config_shapes_exit_three(tmp_path, capsys):
             ({"varieties": [dict(rec, todd=["1", "x", "13/12", "1/2"])]},
              "config field todd must hold rationals"),
             ({"varieties": [dict(rec, todd=["1", "3/2", "1/0", "1/2"])]},
-             "config field todd must hold rationals")):
+             "config field todd must hold rationals"),
+            ({"varieties": [dict(rec, todd=5)]},
+             "config field todd must be a list"),
+            ({"varieties": [dict(rec, denoms=7)]},
+             "config field denoms must be a list")):
         cfg.write_text(json.dumps(doc))
         got = invoke_err(capsys, "chi", "O", "O", "--config", str(cfg))
         assert got == (3, "", f"error: {message}\n"), doc

@@ -1,19 +1,23 @@
 """Residual lattices, projections, induced Serre action, fullness verdicts."""
 
 import random
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from kustab.exact import DomainError, RatMatrix, hnf_rows
-from kustab.semiorth import (Collection, classify_class, fullness_report,
-                             is_numerically_exceptional, right_orthogonal,
-                             serre_on_residual, sod_project)
-from kustab.variety import (ChernVector, SPINOR_CLASS, euler_pairing,
-                            exp_twist, get_preset, line_bundle_class,
-                            serre_inverse_class, to_lattice_coords)
+from kustab.semiorth import (ClassReport, Collection, classify_class,
+                             fullness_report, is_numerically_exceptional,
+                             right_orthogonal, serre_on_residual, sod_project)
+from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
+                            euler_pairing, exp_twist, get_preset,
+                            line_bundle_class, serre_inverse_class,
+                            to_lattice_coords)
 
-from oracles import hilbert_q3, solve_upper_triangular
+from oracles import (classify_by_projection, hilbert_q3,
+                     solve_upper_triangular)
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
@@ -201,6 +205,63 @@ def test_classify_errors():
         classify_class(Q3, c, line_bundle_class(Q3, 0))
     with pytest.raises(DomainError, match="not residual"):
         classify_class(Q3, c, ChernVector([2, -1, 0, Fraction(1, 24)]))
+
+
+def _classify_varieties():
+    # the presets, a P2 surface, a threefold with todd[0] = 0, and a Q3 copy
+    # whose todd[2] breaks Serre symmetry (td e^(-3H/2) gets an H^3 term)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [Q3, P4, Y4, Y2,
+                VarietyDesc(name="p2", dim=2, degree=1, index=3,
+                            todd=(1, Fraction(3, 2), 1), denoms=(1, 1, 2)),
+                VarietyDesc(name="t0", dim=3, degree=2, index=3,
+                            todd=(0, Fraction(3, 2), Fraction(13, 12),
+                                  Fraction(1, 2)), denoms=(1, 1, 2, 12)),
+                VarietyDesc(name="q3-asym", dim=3, degree=2, index=3,
+                            todd=(1, Fraction(3, 2), Fraction(7, 12),
+                                  Fraction(1, 2)), denoms=(1, 1, 2, 12))]
+
+
+def test_classify_matches_projection_oracle():
+    # members: line-bundle blocks or random lattice classes, a quarter of the
+    # collections with a repeated member; candidates: the residual basis,
+    # combinations of it, a line bundle and a random lattice class
+    rng = random.Random(1729)
+    varieties = _classify_varieties()
+    seen = Counter()
+
+    def lattice_class(x):
+        return ChernVector([Fraction(rng.randint(-2, 2), d) for d in x.denoms])
+
+    for _ in range(240):
+        x = rng.choice(varieties)
+        size = rng.randint(1, x.dim)
+        if rng.random() < 0.5:
+            a = rng.randint(-3, 3)
+            mem = [line_bundle_class(x, a + i) for i in range(size)]
+        else:
+            mem = [lattice_class(x) for _ in range(size)]
+        if rng.random() < 0.25:
+            mem.insert(rng.randrange(size + 1), rng.choice(mem))
+        c = Collection(variety=x, members=tuple(mem))
+        basis = right_orthogonal(x, c)
+        combos = [sum((rng.randint(-3, 3) * b for b in basis[1:]), basis[0])
+                  for _ in range(2) if basis]
+        for v in [*basis, *combos, line_bundle_class(x, rng.randint(-2, 2)),
+                  lattice_class(x)]:
+            want = classify_by_projection(x.degree, x.todd, x.index, x.denoms,
+                                          mem, v)
+            try:
+                got = classify_class(x, c, v)
+            except DomainError as exc:
+                got = str(exc)
+            expected = want if isinstance(want, str) else ClassReport(*want)
+            assert got == expected, (x.name, mem, v)
+            seen[want if isinstance(want, str) else want[1]] += 1
+    for outcome in (1, -1, None, "not residual",
+                    "degenerate collection pairing"):
+        assert seen[outcome] >= 20, seen
 
 
 def test_fullness_q3_with_stability():
