@@ -12,8 +12,9 @@ slopes are shift invariant.  Membership of a shifted semistable sheaf in
 the doubly tilted heart reduces to four slope-inequality cases, evaluated
 by heart_case.
 
-The charge is computed in integers.  Write (c_0, c_1, c_2) = (C0, C1, C2)/M
-with M the lcm of the denominators, alpha = an/ad and beta = bn/bd; then
+Every charge and slope is computed in integers.  Write (c_0, c_1, c_2) =
+(C0, C1, C2)/M with M the lcm of the denominators (variety._truncated),
+alpha = an/ad and beta = bn/bd; then
 
     Z_{alpha,beta} = d/M * (R / (2 ad^2 bd^2) + i an I / (ad bd)),
     I = bd C1 - bn C0,
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import DomainError, QuadNumber, _cleared, rat
-from .variety import ChernVector, VarietyDesc, _degree_numbers
+from .exact import DomainError, QuadNumber, rat
+from .variety import ChernVector, VarietyDesc, _truncated
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class Charge:
 
 @dataclass(frozen=True)
 class ExtSlope:
-    """A rational slope or +infinity, totally ordered with +infinity on top."""
+    """A rational slope or +infinity; defines equality but no order."""
 
     value: Fraction | None    # None encodes +infinity
 
@@ -92,31 +93,23 @@ class ExtSlope:
 
 def charge_h(x: VarietyDesc, v: ChernVector, shift: int = 0) -> Charge:
     """Z_H = -c_1 H^{n-1} + i c_0 H^n, times (-1)^shift."""
-    a0, a1, _ = _degree_numbers(x, v)
-    sign = (-1) ** (shift % 2)
-    return Charge(sign * -a1, sign * a0)
+    m, c0, c1, _ = _truncated(v)
+    d = (-1) ** (shift % 2) * x.degree
+    return Charge(Fraction(-d * c1, m), Fraction(d * c0, m))
 
 
 def slope_h(x: VarietyDesc, v: ChernVector) -> ExtSlope:
-    a0, a1, _ = _degree_numbers(x, v)
-    if a0 == 0:
+    _, c0, c1, _ = _truncated(v)
+    if c0 == 0:
         return ExtSlope.infinity()
-    return ExtSlope.finite(a1 / a0)
+    return ExtSlope.finite(Fraction(c1, c0))
 
 
 def charge_tilt(x: VarietyDesc, v: ChernVector, shift: int,
                 p: TiltParams) -> Charge:
-    m, c0, c1, c2 = _integral(v)
+    m, c0, c1, c2 = _truncated(v)
     return _charge((-1) ** (shift % 2) * x.degree, m,
                    *_tilt_numbers(c0, c1, c2, p), p)
-
-
-def _integral(v: ChernVector) -> tuple[int, int, int, int]:
-    # (M, C0, C1, C2) of the module docstring: (c_0, c_1, c_2) = (C0, C1, C2)/M
-    if len(v) < 3:
-        raise DomainError("class needs at least coefficients c0, c1, c2")
-    m, c = _cleared(v.coeffs[:3])
-    return (m, *c)
 
 
 def _tilt_numbers(c0: int, c1: int, c2: int, p: TiltParams) -> tuple[int, int]:
@@ -136,16 +129,16 @@ def _charge(d: int, m: int, r: int, i: int, p: TiltParams) -> Charge:
 
 def slope_tilt(x: VarietyDesc, v: ChernVector, p: TiltParams) -> ExtSlope:
     """mu_{alpha,beta} = -Re/Im of the tilt charge; shift invariant."""
-    z = charge_tilt(x, v, 0, p)
-    if z.im == 0:
-        return ExtSlope.infinity()
-    return ExtSlope.finite(-z.re / z.im)
+    _, c0, c1, c2 = _truncated(v)
+    r, i = _tilt_numbers(c0, c1, c2, p)
+    den = 2 * p.alpha.numerator * p.alpha.denominator * p.beta.denominator * i
+    return ExtSlope.infinity() if i == 0 else ExtSlope.finite(Fraction(-r, den))
 
 
 def discriminant_h(x: VarietyDesc, v: ChernVector) -> Fraction:
     """Delta_H = (c_1 H^{n-1})^2 - 2 (c_0 H^n)(c_2 H^{n-2})."""
-    a0, a1, a2 = _degree_numbers(x, v)
-    return a1 * a1 - 2 * a0 * a2
+    m, c0, c1, c2 = _truncated(v)
+    return Fraction(x.degree ** 2 * (c1 * c1 - 2 * c0 * c2), m * m)
 
 
 @dataclass(frozen=True)
@@ -184,7 +177,7 @@ def heart_case(x: VarietyDesc, v: ChernVector, shift: int,
     """
     if shift not in (0, 1, 2):
         raise DomainError("shift out of range for double tilt")
-    _, c0, c1, c2 = _integral(v)
+    _, c0, c1, c2 = _truncated(v)
     return _heart(c0, c1, c2, shift, p)
 
 
@@ -221,9 +214,8 @@ def zero_charge_class(x: VarietyDesc, v: ChernVector) -> bool:
     """
     if not x.low_deg_H_generated:
         raise DomainError("hypothesis not satisfied")
-    if len(v) < 3:
-        raise DomainError("class needs at least coefficients c0, c1, c2")
-    return v[0] == 0 and v[1] == 0 and v[2] == 0
+    _, c0, c1, c2 = _truncated(v)
+    return c0 == c1 == c2 == 0
 
 
 # -- induced stability check --------------------------------------------------

@@ -83,11 +83,6 @@ class ChernVector:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def truncated(self, k: int) -> "ChernVector":
-        if len(self.coeffs) < k + 1:
-            raise DomainError("class too short to truncate")
-        return ChernVector(self.coeffs[: k + 1])
-
     def text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 
@@ -261,12 +256,13 @@ def _lattice_integral(x: VarietyDesc, v: ChernVector) -> bool:
     return all(d % c.denominator == 0 for c, d in zip(v, x.denoms))
 
 
-def _degree_numbers(x: VarietyDesc, v: ChernVector) -> tuple[Fraction, ...]:
-    # (c_0 H^n, c_1 H^(n-1), c_2 H^(n-2)) as numbers: (c_0, c_1, c_2) * degree
+def _truncated(v: ChernVector) -> tuple[int, int, int, int]:
+    # (M, C0, C1, C2) with (c_0, c_1, c_2) = (C0, C1, C2)/M, M the lcm of the
+    # denominators: how tilt and walls read a class; c_i H^(n-i) = d C_i / M
     if len(v) < 3:
         raise DomainError("class needs at least coefficients c0, c1, c2")
-    d = x.degree
-    return v[0] * d, v[1] * d, v[2] * d
+    m, c = _cleared(v.coeffs[:3])
+    return (m, *c)
 
 
 def to_lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int]:

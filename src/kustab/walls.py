@@ -19,12 +19,13 @@ when it is negative.  The no-wall certificate settles the rational-beta_0
 case by a gcd computation on the value set; wall_scan enumerates the finite
 set of candidate classes passing all filters inside given rank bounds.
 
-The scan runs in integers.  With M the lcm of the denominators of v_0, v_1,
-v_2, V_i = M v_i and N = V_1^2 - 2 V_0 V_2 > 0, beta_0 = (V_1 - sqrt(N))/V_0
-and bound / degree = sqrt(N) / M.  For w = (k_0/lam_0, k_1/lam_1, k_2/lam_2)
-each bound above, scaled to k_1 or k_2, is one floor of (A + B sqrt(N)) / C
-with integers A, B, C: _qfloor, or a plain division for the B = 0 of the
-two discriminants.
+The bounds and the locus are computed in integers.  With M the lcm of the
+denominators of v_0, v_1, v_2, V_i = M v_i and N = V_1^2 - 2 V_0 V_2 > 0,
+beta_0 = (V_1 - sqrt(N))/V_0 and bound / degree = sqrt(N) / M (_line).  For
+w = (k_0/lam_0, k_1/lam_1, k_2/lam_2) each bound above, scaled to k_1 or
+k_2, is one floor of (A + B sqrt(N)) / C with integers A, B, C: _qfloor, or
+a plain division for the B = 0 of the two discriminants.  wall_circle
+builds its locus from the integer truncations of v and w.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exact import DomainError, QuadNumber, _cleared, rat
-from .variety import (ChernVector, VarietyDesc, _degree_numbers,
-                      _lattice_integral)
+from .exact import DomainError, QuadNumber, rat
+from .variety import ChernVector, VarietyDesc, _lattice_integral, _truncated
 
 
 _VIOLATION_RANK = 8     # rows |c0| <= 8 searched by first_interval_violation
@@ -77,17 +77,24 @@ def beta_zero(x: VarietyDesc, v: ChernVector) -> BetaZero:
     >>> print(bz.F, bz.beta0, bz.bound)
     2 -sqrt(2) 2*sqrt(2)
     """
+    m, v0, v1, _, n, _ = _line(x, v)
+    f = Fraction(n, v0 * v0)
+    sqrt_f = QuadNumber(0, 1, f)
+    return BetaZero(F=f, beta0=QuadNumber(Fraction(v1, v0)) - sqrt_f,
+                    bound=sqrt_f * Fraction(v0 * x.degree, m))
+
+
+def _line(x: VarietyDesc, v: ChernVector) -> tuple[int, ...]:
+    """(M, V0, V1, V2, N, isqrt(N)) of the module docstring, checking v first."""
     if not _lattice_integral(x, v):
         raise DomainError("class not in lattice")
-    a0, a1, a2 = _degree_numbers(x, v)
-    if a0 <= 0:
+    m, v0, v1, v2 = _truncated(v)
+    if v0 <= 0:
         raise DomainError("rank not positive")
-    f = (a1 * a1 - 2 * a0 * a2) / (a0 * a0)
-    if f <= 0:
+    n = v1 * v1 - 2 * v0 * v2
+    if n <= 0:
         raise DomainError("no positive discriminant")
-    sqrt_f = QuadNumber(0, 1, f)
-    return BetaZero(F=f, beta0=QuadNumber(a1 / a0) - sqrt_f,
-                    bound=sqrt_f * a0)
+    return m, v0, v1, v2, n, isqrt(n)
 
 
 def nowall_certificate(x: VarietyDesc, v: ChernVector) -> NoWallCertificate | None:
@@ -125,8 +132,7 @@ def first_interval_violation(x: VarietyDesc, v: ChernVector):
     |c0| <= _VIOLATION_RANK in the order 0, 1, -1, 2, -2, ... and returns
     (c0, c1, value) or None when it finds nothing.
     """
-    bz = beta_zero(x, v)
-    line = _integer_line(v)
+    line = _line(x, v)
     lam0, lam1 = x.denoms[0], x.denoms[1]
     order = [0]
     for k in range(1, _VIOLATION_RANK * lam0 + 1):
@@ -135,18 +141,9 @@ def first_interval_violation(x: VarietyDesc, v: ChernVector):
         k1, k1_max = _k1_range(x.denoms, line, k0)
         if k1 <= k1_max:
             c0w, c1w = Fraction(k0, lam0), Fraction(k1, lam1)
-            value = (QuadNumber(c1w) - bz.beta0 * c0w) * x.degree
+            value = (QuadNumber(c1w) - beta_zero(x, v).beta0 * c0w) * x.degree
             return c0w, c1w, value
     return None
-
-
-def _wall_coefficients(x, v, w):
-    a0, a1, a2 = _degree_numbers(x, v)
-    b0, b1, b2 = _degree_numbers(x, w)
-    c0 = (a0 * b1 - a1 * b0) / 2
-    c1 = a2 * b0 - a0 * b2
-    c2 = a1 * b2 - a2 * b1
-    return c0, c1, c2
 
 
 def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
@@ -159,22 +156,28 @@ def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
     a semicircle centered on the beta axis when C0 != 0 (empty when the
     squared radius is not positive), a vertical line when only C1 != 0,
     empty when only C2 != 0, and degenerate (equal slopes everywhere)
-    exactly when the truncations are proportional.
+    exactly when the truncations are proportional.  The coefficients
+    C0 = A0 B1 - A1 B0, C1 = 2 (A2 B0 - A0 B2), C2 = 2 (A1 B2 - A2 B1) come
+    from the integer truncations (A0, A1, A2)/M of v and (B0, B1, B2)/P of
+    w: the locus is invariant under positive scaling, and these are the
+    cross-multiplied charges times 2 / (d^2 M P) > 0.
     """
-    if all(c == 0 for c in v.coeffs[:3]) or all(c == 0 for c in w.coeffs[:3]):
+    if not any(v.coeffs[:3]) or not any(w.coeffs[:3]):
         raise DomainError("zero truncated class")
-    c0, c1, c2 = _wall_coefficients(x, v, w)
-    if c0 == 0 and c1 == 0 and c2 == 0:
+    _, a0, a1, a2 = _truncated(v)
+    _, b0, b1, b2 = _truncated(w)
+    c0, c1, c2 = a0 * b1 - a1 * b0, 2 * (a2 * b0 - a0 * b2), 2 * (a1 * b2 - a2 * b1)
+    if c0 == c1 == c2 == 0:
         return WallCircle(kind="degenerate", witnesses=(w,))
     if c0 != 0:
-        center = -c1 / (2 * c0)
-        radius_sq = center * center - c2 / c0
-        if radius_sq > 0:
-            return WallCircle(kind="circle", center_beta=center,
-                              radius_sq=radius_sq, witnesses=(w,))
+        disc = c1 * c1 - 4 * c0 * c2    # radius^2 = disc / (4 C0^2)
+        if disc > 0:
+            return WallCircle(kind="circle", center_beta=Fraction(-c1, 2 * c0),
+                              radius_sq=Fraction(disc, 4 * c0 * c0),
+                              witnesses=(w,))
         return WallCircle(kind="empty", witnesses=(w,))
     if c1 != 0:
-        return WallCircle(kind="vertical-line", line_beta=-c2 / c1,
+        return WallCircle(kind="vertical-line", line_beta=Fraction(-c2, c1),
                           witnesses=(w,))
     return WallCircle(kind="empty", witnesses=(w,))
 
@@ -186,13 +189,6 @@ def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:
         return q - 1 if strict and r == 0 else q
     r = isqrt(b * b * n)    # floor(b sqrt(n)) is r, or -r - 1 for b < 0
     return (a + r) // c if b > 0 else (a - r - 1) // c
-
-
-def _integer_line(v: ChernVector) -> tuple[int, ...]:
-    """(M, V0, V1, V2, N, isqrt(N)) of the module docstring."""
-    m, (v0, v1, v2) = _cleared(v.coeffs[:3])
-    n = v1 * v1 - 2 * v0 * v2
-    return m, v0, v1, v2, n, isqrt(n)
 
 
 def _k1_range(denoms, line, k0: int) -> tuple[int, int]:
@@ -245,12 +241,11 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     sorted by center then radius.  An empty result is consistent with a
     no-wall certificate; a nonempty one lists candidates, not proven walls.
     """
-    beta_zero(x, v)     # validates the class
+    line = _line(x, v)
     max_rank, max_c1 = rat(max_rank), rat(max_c1)
     if max_rank < 0 or max_c1 < 0:
         raise DomainError("negative scan bound")
     lam0, lam1, lam2 = x.denoms[0], x.denoms[1], x.denoms[2]
-    line, v3 = _integer_line(v), v.truncated(2)
     walls: dict[tuple, list[ChernVector]] = {}
     k0_hi = max_rank.numerator * lam0 // max_rank.denominator
     k1_box = max_c1.numerator * lam1 // max_c1.denominator
@@ -260,7 +255,7 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
             for k2 in _k2_range(x.denoms, line, k0, k1):
                 w = ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
                                  Fraction(k2, lam2)])
-                circle = wall_circle(x, v3, w)
+                circle = wall_circle(x, v, w)
                 if circle.kind == "circle":
                     key = (circle.center_beta, circle.radius_sq)
                     walls.setdefault(key, []).append(w)

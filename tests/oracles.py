@@ -242,6 +242,43 @@ def sqrt_interval(f: Fraction, digits: int = 40) -> tuple[Fraction, Fraction]:
     return Fraction(r, q * scale), Fraction(r + 1, q * scale)
 
 
+# -- degree numbers of a truncated class ---------------------------------------
+
+
+def degree_numbers(d, v):
+    """(c_0 H^n, c_1 H^(n-1), c_2 H^(n-2)) = d * (c_0, c_1, c_2) as Fractions."""
+    return tuple(Fraction(c) * d for c in v[:3])
+
+
+def weak_charge(d, v, shift):
+    """(Re, Im) of Z_H = -c_1 H^(n-1) + i c_0 H^n, times (-1)^shift."""
+    a0, a1, _ = degree_numbers(d, v)
+    sign = -1 if shift % 2 else 1
+    return -sign * a1, sign * a0
+
+
+def weak_slope(d, v):
+    """mu_H = (c_1 H^(n-1)) / (c_0 H^n), None standing for +infinity."""
+    a0, a1, _ = degree_numbers(d, v)
+    return None if a0 == 0 else a1 / a0
+
+
+def discriminant(d, v):
+    """Delta_H = (c_1 H^(n-1))^2 - 2 (c_0 H^n)(c_2 H^(n-2))."""
+    a0, a1, a2 = degree_numbers(d, v)
+    return a1 * a1 - 2 * a0 * a2
+
+
+def beta_zero_parts(d, v):
+    """(F, mu_H, c_0 H^n) with F = Delta_H / (c_0 H^n)^2.
+
+    The beta_0 line is mu_H - sqrt(F) and the interval bound is
+    sqrt(F) c_0 H^n; the caller ensures c_0 > 0.
+    """
+    a0 = degree_numbers(d, v)[0]
+    return discriminant(d, v) / (a0 * a0), weak_slope(d, v), a0
+
+
 # -- brute force wall enumeration ----------------------------------------------
 
 

@@ -1,0 +1,45 @@
+"""Every kustab module uses each name it imports (no linter needed)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kustab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read in the module."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):    # quoted annotations such as -> "Charge"
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_check_flags_an_orphan():
+    source = ('from os import path, sep\nimport json\n'
+              'def f(x: "json.JSONDecoder"):\n    return sep\n')
+    assert unused_imports(source) == ["path"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []

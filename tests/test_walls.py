@@ -1,18 +1,23 @@
 """Wall geometry: the beta_0 line, certificates, circles, bounded scans."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from kustab.exact import DomainError, QuadNumber, is_square, quad_compare
-from kustab.tilt import TiltParams, slope_tilt
-from kustab.variety import ChernVector, exp_twist, get_preset, line_bundle_class
+from kustab.tilt import (TiltParams, charge_h, charge_tilt, discriminant_h,
+                         heart_case, slope_h, slope_tilt, zero_charge_class)
+from kustab.variety import (PRESETS, ChernVector, exp_twist, get_preset,
+                            line_bundle_class)
 from kustab.walls import (_qfloor, beta_zero, first_interval_violation,
                           nowall_certificate, wall_circle, wall_scan)
 
-from oracles import enumerate_walls, floor_a_plus_b_sqrt, sign_a_plus_b_sqrt
+from oracles import (beta_zero_parts, discriminant, enumerate_walls,
+                     floor_a_plus_b_sqrt, sign_a_plus_b_sqrt, wall_equation,
+                     weak_charge, weak_slope)
 
 Q3 = get_preset("q3")
 SPINOR_TRUNC = ChernVector([2, -1, 0])
@@ -100,8 +105,8 @@ def _rational_points_on_circle(center, radius_sq, count):
 
 
 def test_wall_circle_line_bundles():
-    v = line_bundle_class(Q3, 0).truncated(2)
-    w = line_bundle_class(Q3, 1).truncated(2)
+    v = ChernVector(line_bundle_class(Q3, 0).coeffs[:3])
+    w = ChernVector(line_bundle_class(Q3, 1).coeffs[:3])
     circle = wall_circle(Q3, v, w)
     assert circle.kind == "circle"
     assert circle.center_beta == Fraction(1, 2)
@@ -133,6 +138,118 @@ def test_wall_circle_symmetry():
         if v.is_zero() or w.is_zero():
             continue
         assert wall_circle(Q3, v, w) == wall_circle(Q3, w, v)
+
+
+def _random_coeff(rng, lam, off_lattice=0.4):
+    # 0 often enough that rank-0, proportional and degenerate truncations
+    # all occur; otherwise k/lam, or k/3, k/4, k/5 which may be off the lattice
+    if rng.random() < 0.2:
+        return Fraction(0)
+    den = rng.choice((3, 4, 5)) if rng.random() < off_lattice else lam
+    return Fraction(rng.randint(-9, 9), den)
+
+
+def _random_truncated_pair(rng, x):
+    v = ChernVector([_random_coeff(rng, lam) for lam in x.denoms[:3]])
+    t = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    mode = rng.randrange(4)
+    if mode == 0:       # proportional: degenerate
+        w = [c * t for c in v]
+    elif mode == 1:     # proportional (c0, c1): a vertical line, or empty
+        w = [v[0] * t, v[1] * t, _random_coeff(rng, x.denoms[2])]
+    else:
+        w = [_random_coeff(rng, lam) for lam in x.denoms[:3]]
+    return v, ChernVector(w)
+
+
+def _oracle_locus(e0, e1, e2):
+    """(kind, center, radius^2, line) of e0 (alpha^2 + beta^2) + e1 beta + e2 = 0."""
+    if e0 == e1 == e2 == 0:
+        return "degenerate", None, None, None
+    if e0 != 0:
+        center = -e1 / (2 * e0)
+        radius_sq = center * center - e2 / e0
+        if radius_sq > 0:
+            return "circle", center, radius_sq, None
+    elif e1 != 0:
+        return "vertical-line", None, None, -e2 / e1
+    return "empty", None, None, None
+
+
+def test_wall_circle_matches_wall_equation_oracle():
+    rng = random.Random(4711)
+    kinds = {"circle": 0, "empty": 0, "vertical-line": 0, "degenerate": 0}
+    for _ in range(3000):
+        x = rng.choice(list(PRESETS.values()))
+        v, w = _random_truncated_pair(rng, x)
+        if v.is_zero() or w.is_zero():
+            continue
+        got = wall_circle(x, v, w)
+        expected = _oracle_locus(*wall_equation(x.degree, tuple(v), tuple(w)))
+        assert (got.kind, got.center_beta, got.radius_sq,
+                got.line_beta) == expected, (x.name, v, w)
+        assert got.witnesses == (w,)
+        kinds[got.kind] += 1
+    assert all(count >= 20 for count in kinds.values()), kinds
+
+
+def test_degree_number_readings_match_fraction_oracle():
+    # charge_h, slope_h, discriminant_h and beta_zero against plain-Fraction
+    # degree numbers; invalid classes must fail with beta_zero's message
+    rng = random.Random(4712)
+    seen = Counter()
+    for _ in range(3000):
+        x = rng.choice(list(PRESETS.values()))
+        v = ChernVector([_random_coeff(rng, lam, 0.1)
+                         for lam in x.denoms[:rng.randint(3, x.dim + 1)]])
+        d, shift = x.degree, rng.randint(-3, 3)
+        z = charge_h(x, v, shift)
+        assert (z.re, z.im) == weak_charge(d, v, shift)
+        assert slope_h(x, v).value == weak_slope(d, v)
+        assert discriminant_h(x, v) == discriminant(d, v)
+        if not all((c * lam).denominator == 1 for c, lam in zip(v, x.denoms)):
+            message = "class not in lattice"
+        elif v[0] <= 0:
+            message = "rank not positive"
+        elif discriminant(d, v) <= 0:
+            message = "no positive discriminant"
+        else:
+            f, mu, a0 = beta_zero_parts(d, v)
+            bz = beta_zero(x, v)
+            assert bz.F == f
+            assert bz.beta0 == QuadNumber(mu, -1, f)
+            assert bz.bound == QuadNumber(0, a0, f)
+            seen["valid"] += 1
+            continue
+        seen[message] += 1
+        for check in (beta_zero, first_interval_violation,
+                      lambda x, v: wall_scan(x, v, 1, 1)):
+            with pytest.raises(DomainError, match=message):
+                check(x, v)
+    assert len(seen) == 4 and min(seen.values()) >= 100, seen
+
+
+def test_short_class_errors():
+    p = TiltParams(alpha=1, beta=0)
+    short, zero = ChernVector([1, 0]), ChernVector([0, 0])
+    message = "class needs at least coefficients c0, c1, c2"
+    for call in (lambda v: charge_h(Q3, v), lambda v: slope_h(Q3, v),
+                 lambda v: discriminant_h(Q3, v),
+                 lambda v: charge_tilt(Q3, v, 0, p),
+                 lambda v: slope_tilt(Q3, v, p),
+                 lambda v: heart_case(Q3, v, 0, p),
+                 lambda v: zero_charge_class(Q3, v),
+                 lambda v: beta_zero(Q3, v), lambda v: wall_scan(Q3, v, 1, 1),
+                 lambda v: wall_circle(Q3, v, IRRATIONAL),
+                 lambda v: wall_circle(Q3, IRRATIONAL, v)):
+        with pytest.raises(DomainError, match=message):
+            call(short)
+    # the lattice test comes first in beta_zero, the zero test in wall_circle
+    with pytest.raises(DomainError, match="class not in lattice"):
+        beta_zero(Q3, ChernVector([Fraction(1, 2), 0]))
+    for v, w in ((zero, IRRATIONAL), (short, ChernVector([0, 0, 0, 1]))):
+        with pytest.raises(DomainError, match="zero truncated class"):
+            wall_circle(Q3, v, w)
 
 
 def test_wall_scan_spinor_empty():
