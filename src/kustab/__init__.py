@@ -8,8 +8,7 @@ membership, induced-stability checklists, and wall-and-chamber analysis
 with no-wall certificates.
 """
 
-from .exact import (DomainError, QuadNumber, RatMatrix, kernel_basis,
-                    lattice_primitive, quad_compare)
+from .exact import DomainError, QuadNumber, RatMatrix
 from .semiorth import (ClassReport, Collection, FullnessVerdict,
                        classify_class, fullness_report,
                        is_numerically_exceptional, right_orthogonal,
@@ -36,9 +35,8 @@ __all__ = [
     "charge_tilt", "classify_class", "discriminant_h", "euler_pairing",
     "exp_twist", "fullness_report", "get_preset", "gram_matrix",
     "heart_case", "in_lattice", "is_numerically_exceptional",
-    "kernel_basis", "lattice_primitive", "line_bundle_class",
-    "nowall_certificate", "quad_compare", "right_orthogonal", "serre_class",
-    "serre_inverse_class", "serre_numeric", "serre_on_residual", "slope_h",
-    "slope_tilt", "sod_project", "wall_circle", "wall_scan",
-    "zero_charge_class",
+    "line_bundle_class", "nowall_certificate", "right_orthogonal",
+    "serre_class", "serre_inverse_class", "serre_numeric",
+    "serre_on_residual", "slope_h", "slope_tilt", "sod_project",
+    "wall_circle", "wall_scan", "zero_charge_class",
 ]

@@ -138,7 +138,7 @@ def _classify(args, x):
     rep = semiorth.classify_class(x, c, v)
     eig = {1: "+1", -1: "-1", None: "none"}[rep.serre_eigenvalue]
     return {"target": v, "chi_self": rep.chi_self,
-            "serre_eigenvalue": eig, "labels": rep.labels}, []
+            "serre_eigenvalue": eig, "labels": frozenset(rep.labels)}, []
 
 
 def _serre(args, x):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 
 class DomainError(ValueError):
@@ -210,21 +210,6 @@ class QuadNumber:
         return f"QuadNumber({self.a} + {self.b}*sqrt({self.F}))"
 
 
-def quad_compare(x, y) -> int:
-    """Exact order of two quadratic numbers sharing a radicand.
-
-    Returns -1, 0 or 1.  Raises DomainError("incomparable radicands") when
-    both arguments are irrational with distinct radicands.
-
-    >>> quad_compare(QuadNumber(-1, 0, Fraction(1, 4)), 0)
-    -1
-    >>> quad_compare(QuadNumber(0, 1, Fraction(1, 4)), Fraction(1, 2))
-    0
-    """
-    x = x if isinstance(x, QuadNumber) else QuadNumber(rat(x))
-    return x._cmp(y)
-
-
 # -- rational matrices -------------------------------------------------------
 
 
@@ -330,50 +315,10 @@ class RatMatrix:
         return tuple(red[i][k] for i in range(k))
 
 
-def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Z-basis of the integer points of the null space of a rational matrix.
-
-    Each row is scaled to an integer row (the null space does not change)
-    and the integer kernel is taken in row Hermite normal form, so output
-    is reproducible.
-
-    >>> [tuple(map(int, k)) for k in kernel_basis(RatMatrix.from_rows([[2, 1, 1]]))]
-    [(1, 0, -2), (0, 1, -1)]
-    """
-    if m.cols == 0:
-        return []
-    return [tuple(Fraction(c) for c in r)
-            for r in int_kernel([_cleared(r)[1] for r in m.entries])]
-
-
 def _cleared(v) -> tuple[int, list[int]]:
     """(p, V) with p the lcm of the denominators of the rationals v, V = p * v."""
     p = lcm(*(x.denominator for x in v))
     return p, [x.numerator * (p // x.denominator) for x in v]
-
-
-def lattice_primitive(v, denoms) -> tuple[int, ...]:
-    """Primitive integer coordinates of v in the lattice (+) Z * e_i / denoms_i.
-
-    The input is rescaled by a positive rational so that every coordinate
-    v_i * denoms_i becomes an integer, the gcd of the result is 1 and the
-    first nonzero entry is positive.
-
-    >>> lattice_primitive([2, -1, 0, Fraction(1, 12)], [1, 1, 2, 12])
-    (2, -1, 0, 1)
-    """
-    v = [rat(x) for x in v]
-    if len(v) != len(denoms):
-        raise DomainError("dimension mismatch")
-    if all(x == 0 for x in v):
-        raise DomainError("zero class")
-    if any(d <= 0 or int(d) != d for d in denoms):
-        raise DomainError("denominators must be positive integers")
-    ints = _cleared([x * int(d) for x, d in zip(v, denoms)])[1]
-    content = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        content = -content
-    return tuple(x // content for x in ints)
 
 
 # -- integer lattice helpers --------------------------------------------------

@@ -45,7 +45,7 @@ class Collection:
 class ClassReport:
     chi_self: Fraction
     serre_eigenvalue: int | None   # +1, -1, or None when not an eigenvector
-    labels: frozenset[str]
+    labels: tuple[str, ...]   # sorted
 
 
 @dataclass(frozen=True)
@@ -194,17 +194,17 @@ def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport
         if len(hnf_rows([*members, w])) == len(members):
             eigen = e
             break
-    labels = set()
+    labels = []
     if chi_self == 1:
-        labels.add("numerically-exceptional")
+        labels.append("numerically-exceptional")
     if chi_self == 0:
-        labels.add("isotropic")
+        labels.append("isotropic")
     if eigen == 1:
-        labels.add("numerical-point-object-even")
+        labels.append("numerical-point-object-even")
     elif eigen == -1:
-        labels.add("numerical-point-object-odd")
+        labels.append("numerical-point-object-odd")
     return ClassReport(chi_self=chi_self, serre_eigenvalue=eigen,
-                       labels=frozenset(labels))
+                       labels=tuple(sorted(labels)))
 
 
 def fullness_report(x: VarietyDesc, c: Collection,

@@ -24,15 +24,17 @@ denominators of v_0, v_1, v_2, V_i = M v_i and N = V_1^2 - 2 V_0 V_2 > 0,
 beta_0 = (V_1 - sqrt(N))/V_0 and bound / degree = sqrt(N) / M (_line).  For
 w = (k_0/lam_0, k_1/lam_1, k_2/lam_2) each bound above, scaled to k_1 or
 k_2, is one floor of (A + B sqrt(N)) / C with integers A, B, C: _qfloor, or
-a plain division for the B = 0 of the two discriminants.  wall_circle
-builds its locus from the integer truncations of v and w.
+a plain division for the B = 0 of the two discriminants.  _locus gives the
+wall of v and w as integers (C0, C1, C2) from integer truncations; wall_scan
+takes v's once from _line, deduplicates on the primitive triple
+(C0, C1, C2) / g and builds Fractions once per distinct circle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .exact import DomainError, QuadNumber, rat
 from .variety import ChernVector, VarietyDesc, _lattice_integral, _truncated
@@ -156,30 +158,41 @@ def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
     a semicircle centered on the beta axis when C0 != 0 (empty when the
     squared radius is not positive), a vertical line when only C1 != 0,
     empty when only C2 != 0, and degenerate (equal slopes everywhere)
-    exactly when the truncations are proportional.  The coefficients
-    C0 = A0 B1 - A1 B0, C1 = 2 (A2 B0 - A0 B2), C2 = 2 (A1 B2 - A2 B1) come
-    from the integer truncations (A0, A1, A2)/M of v and (B0, B1, B2)/P of
-    w: the locus is invariant under positive scaling, and these are the
-    cross-multiplied charges times 2 / (d^2 M P) > 0.
+    exactly when the truncations are proportional; the coefficients come
+    from the integer truncations of v and w (_locus).
     """
     if not any(v.coeffs[:3]) or not any(w.coeffs[:3]):
         raise DomainError("zero truncated class")
-    _, a0, a1, a2 = _truncated(v)
-    _, b0, b1, b2 = _truncated(w)
+    return _wall(*_locus(_truncated(v)[1:], _truncated(w)[1:]), (w,))
+
+
+def _locus(a, b) -> tuple[str, int, int, int]:
+    """(kind, C0, C1, C2) of the wall of v and w from integer truncations.
+
+    C0 = A0 B1 - A1 B0, C1 = 2 (A2 B0 - A0 B2), C2 = 2 (A1 B2 - A2 B1) for
+    a = (A0, A1, A2) = M v and b = (B0, B1, B2) = P w with M, P > 0: these
+    are the cross-multiplied charges times 2 / (d^2 M P) > 0.
+    """
+    (a0, a1, a2), (b0, b1, b2) = a, b
     c0, c1, c2 = a0 * b1 - a1 * b0, 2 * (a2 * b0 - a0 * b2), 2 * (a1 * b2 - a2 * b1)
-    if c0 == c1 == c2 == 0:
-        return WallCircle(kind="degenerate", witnesses=(w,))
     if c0 != 0:
-        disc = c1 * c1 - 4 * c0 * c2    # radius^2 = disc / (4 C0^2)
-        if disc > 0:
-            return WallCircle(kind="circle", center_beta=Fraction(-c1, 2 * c0),
-                              radius_sq=Fraction(disc, 4 * c0 * c0),
-                              witnesses=(w,))
-        return WallCircle(kind="empty", witnesses=(w,))
-    if c1 != 0:
-        return WallCircle(kind="vertical-line", line_beta=Fraction(-c2, c1),
-                          witnesses=(w,))
-    return WallCircle(kind="empty", witnesses=(w,))
+        kind = "circle" if c1 * c1 > 4 * c0 * c2 else "empty"
+    elif c1 != 0:
+        kind = "vertical-line"
+    else:
+        kind = "empty" if c2 != 0 else "degenerate"
+    return kind, c0, c1, c2
+
+
+def _wall(kind, c0, c1, c2, witnesses) -> WallCircle:
+    """The WallCircle of a _locus result; radius^2 = (C1^2 - 4 C0 C2) / (4 C0^2)."""
+    if kind == "circle":
+        return WallCircle(kind, center_beta=Fraction(-c1, 2 * c0),
+                          radius_sq=Fraction(c1 * c1 - 4 * c0 * c2, 4 * c0 * c0),
+                          witnesses=witnesses)
+    if kind == "vertical-line":
+        return WallCircle(kind, line_beta=Fraction(-c2, c1), witnesses=witnesses)
+    return WallCircle(kind, witnesses=witnesses)
 
 
 def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:
@@ -237,7 +250,9 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     passing the open interval criterion at beta_0, and for each the finite
     range of c2 allowed by Delta_H(w) >= 0, Delta_H(v - w) >= 0 and the
     requirement that the wall cross the beta_0 line at alpha > 0.  Circles
-    are deduplicated by (center, radius^2) with witnesses aggregated, and
+    are deduplicated on the primitive integer triple (C0, C1, C2) / g with
+    C0 > 0, which determines (center, radius^2), with witnesses aggregated;
+    Fractions are built once per distinct circle, and the circles are
     sorted by center then radius.  An empty result is consistent with a
     no-wall certificate; a nonempty one lists candidates, not proven walls.
     """
@@ -246,22 +261,24 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     if max_rank < 0 or max_c1 < 0:
         raise DomainError("negative scan bound")
     lam0, lam1, lam2 = x.denoms[0], x.denoms[1], x.denoms[2]
-    walls: dict[tuple, list[ChernVector]] = {}
+    a, big = line[1:4], lcm(lam0, lam1, lam2)   # w = (k0 s0, k1 s1, k2 s2) / big
+    s0, s1, s2 = big // lam0, big // lam1, big // lam2
+    walls: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     k0_hi = max_rank.numerator * lam0 // max_rank.denominator
     k1_box = max_c1.numerator * lam1 // max_c1.denominator
     for k0 in range(-k0_hi, k0_hi + 1):
         k1_lo, k1_hi = _k1_range(x.denoms, line, k0)
         for k1 in range(max(k1_lo, -k1_box), min(k1_hi, k1_box) + 1):
             for k2 in _k2_range(x.denoms, line, k0, k1):
-                w = ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
-                                 Fraction(k2, lam2)])
-                circle = wall_circle(x, v, w)
-                if circle.kind == "circle":
-                    key = (circle.center_beta, circle.radius_sq)
-                    walls.setdefault(key, []).append(w)
+                kind, c0, c1, c2 = _locus(a, (k0 * s0, k1 * s1, k2 * s2))
+                if kind == "circle":
+                    g = gcd(c0, c1, c2) if c0 > 0 else -gcd(c0, c1, c2)
+                    key = (c0 // g, c1 // g, c2 // g)
+                    walls.setdefault(key, []).append((k0, k1, k2))
     out = []
-    for (center, radius_sq) in sorted(walls):
-        wits = sorted(walls[(center, radius_sq)], key=lambda w: w.coeffs)
-        out.append(WallCircle(kind="circle", center_beta=center,
-                              radius_sq=radius_sq, witnesses=tuple(wits)))
-    return out
+    for key, ks in walls.items():
+        # every lam_i > 0: the order of the integer (k0, k1, k2) is that of w.coeffs
+        wits = tuple(ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
+                                  Fraction(k2, lam2)]) for k0, k1, k2 in sorted(ks))
+        out.append(_wall("circle", *key, wits))
+    return sorted(out, key=lambda w: (w.center_beta, w.radius_sq))

@@ -193,7 +193,7 @@ def classify_by_projection(degree, todd, index, denoms, members, v):
         labels.add("numerical-point-object-even")
     if eigen == -1:
         labels.add("numerical-point-object-odd")
-    return chi_self, eigen, frozenset(labels)
+    return chi_self, eigen, tuple(sorted(labels))
 
 
 # -- exact arithmetic with one radical ----------------------------------------

@@ -273,6 +273,34 @@ def test_output_independent_of_hash_seed():
         assert outs[0] == outs[1] and outs[0], argv
 
 
+_LIBRARY_DIGEST = """
+import hashlib
+from kustab.semiorth import Collection, classify_class, right_orthogonal
+from kustab.variety import PRESETS, ChernVector, get_preset, line_bundle_class
+from kustab.walls import wall_scan
+h = hashlib.sha256()
+for x in PRESETS.values():
+    c = Collection(variety=x, members=tuple(line_bundle_class(x, k)
+                                            for k in range(x.index)))
+    for v in right_orthogonal(x, c):
+        h.update(repr(classify_class(x, c, v)).encode())
+for name, v in (("q3", [1, 0, -1]), ("q3", [2, -1, -2]), ("y2", [2, 1, -1])):
+    h.update(repr(wall_scan(get_preset(name), ChernVector(v), 4, 4)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_library_output_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _LIBRARY_DIGEST], env=env,
+                              capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = run(["chi", "--variety", "q3", "O", "O", "--json",

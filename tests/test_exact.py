@@ -1,16 +1,15 @@
-"""Exact substrate: kernels, lattice normalization, quadratic comparisons."""
+"""Exact substrate: kernels, Hermite normal form, quadratic comparisons."""
 
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import pytest
 
 from kustab.exact import (DomainError, QuadNumber, RatMatrix, hnf_rows,
-                          int_kernel, kernel_basis, lattice_primitive,
-                          quad_compare)
+                          int_kernel)
 from kustab.svg import _sqrt_trunc
 from kustab.tilt import AlphaInterval
 
@@ -32,24 +31,37 @@ G_ROWS = [
 ]
 
 
+def _cleared_rows(m):
+    """Each row of a rational matrix times the lcm of its denominators."""
+    return [[int(q * lcm(*(p.denominator for p in r))) for q in r]
+            for r in m.entries]
+
+
+def _order(x, y) -> int:
+    """-1, 0 or 1 from QuadNumber's <, == and >, which must agree."""
+    lt, eq, gt = x < y, x == y, x > y
+    assert lt + eq + gt == 1, (x, y)
+    return gt - lt
+
+
 def test_kernel_of_orthogonality_system():
     m = RatMatrix.from_rows(A_ROWS) @ RatMatrix.from_rows(G_ROWS)
-    basis = kernel_basis(m)
+    basis = int_kernel(_cleared_rows(m))
     assert len(basis) == 1
     (k,) = basis
     # primitive integer vector proportional to (2, -1, 0, 1/12)
-    assert k == (24, -12, 0, 1)
+    assert k == [24, -12, 0, 1]
     assert all(sum(r[j] * k[j] for j in range(4)) == 0 for r in m.entries)
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RatMatrix.identity(3)) == []
+    assert int_kernel(_cleared_rows(RatMatrix.identity(3))) == []
 
 
 def test_kernel_zero_matrix_standard_basis():
     m = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
-    basis = kernel_basis(m)
-    assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    basis = int_kernel(_cleared_rows(m))
+    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_kernel_rank_nullity_random():
@@ -60,7 +72,7 @@ def test_kernel_rank_nullity_random():
         m = RatMatrix.from_rows(
             [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(cols)] for _ in range(rows)])
-        basis = kernel_basis(m)
+        basis = int_kernel(_cleared_rows(m))
         rank = row_reduce_rank(m.entries)
         assert len(basis) == cols - rank
         for k in basis:
@@ -73,53 +85,32 @@ def test_kernel_rank_nullity_random():
 def test_kernel_basis_is_saturated():
     # the Z-span of the basis is every integer kernel vector: the maximal
     # minors of the basis matrix have gcd 1 ((1, 0, -2) and (0, 1, -1) here)
-    basis = kernel_basis(RatMatrix.from_rows([[2, 1, 1]]))
-    assert len(basis) == 2
+    basis = int_kernel(_cleared_rows(RatMatrix.from_rows([[2, 1, 1]])))
+    assert basis == [[1, 0, -2], [0, 1, -1]]
     (a, b) = basis
     minors = [a[i] * b[j] - a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2))]
-    assert all(m.denominator == 1 for m in minors)
-    assert gcd(*(int(m) for m in minors)) == 1
-
-
-def test_lattice_primitive_examples():
-    denoms = (1, 1, 2, 12)
-    assert lattice_primitive([2, -1, 0, Fraction(1, 12)], denoms) == (2, -1, 0, 1)
-    assert lattice_primitive([4, -2, 0, Fraction(1, 6)], denoms) == (2, -1, 0, 1)
-    with pytest.raises(DomainError, match="zero class"):
-        lattice_primitive([0, 0, 0, 0], denoms)
-
-
-def test_lattice_primitive_scale_invariant():
-    rng = random.Random(7)
-    denoms = (1, 1, 2, 12)
-    for _ in range(60):
-        v = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 12]))
-             for _ in range(4)]
-        if all(x == 0 for x in v):
-            continue
-        base = lattice_primitive(v, denoms)
-        q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert lattice_primitive([q * x for x in v], denoms) == base
-        assert lattice_primitive(base, (1, 1, 1, 1)) == base
+    assert gcd(*minors) == 1
 
 
 def test_quad_compare_examples():
-    assert quad_compare(QuadNumber(-1, 0, Fraction(1, 4)), QuadNumber(0)) == -1
+    assert _order(QuadNumber(-1, 0, Fraction(1, 4)), QuadNumber(0)) == -1
     # sqrt(1/4) folds to the rational 1/2
     x = QuadNumber(0, 1, Fraction(1, 4))
     assert x.is_rational and x.rational_value() == Fraction(1, 2)
-    assert quad_compare(x, Fraction(1, 2)) == 0
-    assert quad_compare(QuadNumber(1, 1, 2), Fraction(5, 2)) == -1
+    assert _order(x, Fraction(1, 2)) == 0
+    assert _order(QuadNumber(1, 1, 2), Fraction(5, 2)) == -1
 
 
 def test_quad_compare_mismatched_radicands():
-    with pytest.raises(DomainError, match="incomparable radicands"):
-        quad_compare(QuadNumber(0, 1, 2), QuadNumber(0, 1, 3))
+    x, y = QuadNumber(0, 1, 2), QuadNumber(0, 1, 3)
+    for compare in (x.__lt__, x.__eq__, x.__gt__):
+        with pytest.raises(DomainError, match="incomparable radicands"):
+            compare(y)
 
 
 def test_quad_rational_mixes_with_any_radicand():
-    assert quad_compare(QuadNumber(3), QuadNumber(0, 1, 5)) == 1
-    assert quad_compare(QuadNumber(2), QuadNumber(0, 1, 5)) == -1
+    assert _order(QuadNumber(3), QuadNumber(0, 1, 5)) == 1
+    assert _order(QuadNumber(2), QuadNumber(0, 1, 5)) == -1
 
 
 def _random_quad(rng, f):
@@ -132,9 +123,9 @@ def test_quad_compare_total_order_properties():
     for f in (Fraction(2), Fraction(3, 5), Fraction(7)):
         for _ in range(80):
             x, y, z = (_random_quad(rng, f) for _ in range(3))
-            assert quad_compare(x, y) == -quad_compare(y, x)
-            if quad_compare(x, y) <= 0 and quad_compare(y, z) <= 0:
-                assert quad_compare(x, z) <= 0
+            assert _order(x, y) == -_order(y, x)
+            if _order(x, y) <= 0 and _order(y, z) <= 0:
+                assert _order(x, z) <= 0
 
 
 def test_quad_compare_against_interval_oracle():
@@ -149,7 +140,7 @@ def test_quad_compare_against_interval_oracle():
         for q in (x, y):
             ends = sorted((q.a + q.b * lo, q.a + q.b * hi))
             bounds.append(ends)
-        got = quad_compare(x, y)
+        got = _order(x, y)
         if bounds[0][1] < bounds[1][0]:
             assert got == -1
         elif bounds[1][1] < bounds[0][0]:

@@ -1,4 +1,5 @@
-"""Every kustab module uses each name it imports (no linter needed)."""
+"""Every kustab module uses each name it imports, and the package exports
+exactly the names its __init__ imports (no linter needed)."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,14 @@ def test_unused_import_check_flags_an_orphan():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_all_matches_its_imports():
+    import kustab
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names}
+    assert imported == set(kustab.__all__)
+    assert all(hasattr(kustab, name) for name in kustab.__all__)

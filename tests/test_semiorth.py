@@ -158,8 +158,8 @@ def test_classify_spinor_on_q3():
     rep = classify_class(Q3, block(Q3), SPINOR_CLASS)
     assert rep.chi_self == 1
     assert rep.serre_eigenvalue == 1
-    assert rep.labels == frozenset(
-        {"numerically-exceptional", "numerical-point-object-even"})
+    assert rep.labels == ("numerical-point-object-even",
+                          "numerically-exceptional")
 
 
 def test_classify_spinor_on_y4_is_odd():

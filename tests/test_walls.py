@@ -7,12 +7,12 @@ from math import isqrt
 
 import pytest
 
-from kustab.exact import DomainError, QuadNumber, is_square, quad_compare
+from kustab.exact import DomainError, QuadNumber, is_square
 from kustab.tilt import (TiltParams, charge_h, charge_tilt, discriminant_h,
                          heart_case, slope_h, slope_tilt, zero_charge_class)
 from kustab.variety import (PRESETS, ChernVector, exp_twist, get_preset,
                             line_bundle_class)
-from kustab.walls import (_qfloor, beta_zero, first_interval_violation,
+from kustab.walls import (_locus, _qfloor, beta_zero, first_interval_violation,
                           nowall_certificate, wall_circle, wall_scan)
 
 from oracles import (beta_zero_parts, discriminant, enumerate_walls,
@@ -348,16 +348,16 @@ def test_wall_scan_matches_enumeration_oracle(monkeypatch):
     # square F (rational beta_0, attained strict k1 endpoints), c2 off the
     # integers and rows with c0 < 0 must all occur, or the run proves little
     P4, Y4, Y2 = get_preset("p4"), get_preset("y4"), get_preset("y2")
-    kinds = []
+    loci = []
 
-    def recording_wall_circle(*args):
-        circle = wall_circle(*args)
-        kinds.append(circle.kind)
-        return circle
+    def recording_locus(a, b):
+        locus = _locus(a, b)
+        loci.append(locus)
+        return locus
 
     # the exact filters leave only classes whose wall crosses beta_0 at
     # alpha > 0, so every class the scan tries is a circle
-    monkeypatch.setattr("kustab.walls.wall_circle", recording_wall_circle)
+    monkeypatch.setattr("kustab.walls._locus", recording_locus)
     cases = [
         (Q3, IRRATIONAL, 3, 3), (Q3, IRRATIONAL, 5, 5),
         (Q3, ChernVector([2, 0, -1]), 4, 4),
@@ -379,6 +379,11 @@ def test_wall_scan_matches_enumeration_oracle(monkeypatch):
                                    max_rank, max_c1)
         assert {(w.center_beta, w.radius_sq): {tuple(c) for c in w.witnesses}
                 for w in got} == expected, (x.name, v, max_rank, max_c1)
+        for w in got:
+            for c in w.witnesses:
+                one = wall_circle(x, v, c)
+                assert (one.center_beta, one.radius_sq) == \
+                    (w.center_beta, w.radius_sq), (x.name, v, c)
         bz = beta_zero(x, v)
         if is_square(bz.F):
             seen["square"] += 1
@@ -386,7 +391,9 @@ def test_wall_scan_matches_enumeration_oracle(monkeypatch):
         seen["fractional"] += v[2].denominator > 1
         seen["negative_c0"] += sum(c[0] < 0 for w in got for c in w.witnesses)
     assert all(count >= 5 for count in seen.values()), seen
-    assert kinds and set(kinds) == {"circle"}
+    assert loci and all(c0 != 0 and c1 * c1 > 4 * c0 * c2
+                        for _, c0, c1, c2 in loci)
+    assert {kind for kind, *_ in loci} == {"circle"}
 
 
 def test_wall_scan_circles_cross_beta_zero_line():
@@ -394,7 +401,7 @@ def test_wall_scan_circles_cross_beta_zero_line():
         bz = beta_zero(Q3, v)
         for w in wall_scan(Q3, v, 5, 5):
             diff = bz.beta0 - w.center_beta
-            assert quad_compare(diff * diff, w.radius_sq) < 0
+            assert diff * diff < w.radius_sq
 
 
 def test_wall_scan_nesting():
