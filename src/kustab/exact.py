@@ -3,7 +3,9 @@
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 real quadratic numbers a + b*sqrt(F) carry their radicand symbolically, and
 kernels are computed over the integers by unimodular reduction.  No floating
-point enters any decision path, and no approximation is used anywhere.
+point enters any decision path, and no approximation is used anywhere.  The
+one floor of a quadratic number, for QuadNumber.floor and the wall scan, is
+_qfloor on integers.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 
 class DomainError(ValueError):
@@ -175,20 +178,10 @@ class QuadNumber:
         return self._cmp(other) >= 0
 
     def floor(self) -> int:
-        """Exact floor, in closed form.
-
-        Writing self = (p + s*sqrt(N))/m with integers m = lcm(den a,
-        den b * den F), p = m*a and N = (m*b)^2 * F, N is not a square, so
-        floor(s*sqrt(N)) is isqrt(N) for s > 0 and -isqrt(N) - 1 for s < 0.
-        """
-        a, b, F = self.a, self.b, self.F
-        if b == 0:
-            return a.numerator // a.denominator
-        m = lcm(a.denominator, b.denominator * F.denominator)
-        p = a.numerator * (m // a.denominator)
-        r = isqrt((b.numerator * (m // b.denominator)) ** 2
-                  * F.numerator // F.denominator)
-        return (p + r) // m if b > 0 else (p - r - 1) // m
+        """Exact floor by _qfloor, with b sqrt(f/g) = (b/g) sqrt(f g)."""
+        n = self.F.numerator * self.F.denominator
+        c, (a, b) = _cleared((self.a, self.b / self.F.denominator))
+        return _qfloor(a, b, c, n, isqrt(n), False)
 
     def __str__(self):
         """Report text: "a", "sqrt(F)", "-2*sqrt(F)", "1/2 - sqrt(F)", ...
@@ -315,10 +308,27 @@ class RatMatrix:
         return tuple(red[i][k] for i in range(k))
 
 
+def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:
+    """Largest k < (a + b sqrt(n)) / c, or k <= it if not strict; c > 0.
+
+    s = isqrt(n).  For non-square n, floor(b sqrt(n)) is isqrt(b^2 n), or
+    -isqrt(b^2 n) - 1 for b < 0, and the value is never an integer.
+    """
+    if b == 0 or s * s == n:
+        q, r = divmod(a + b * s, c)
+        return q - 1 if strict and r == 0 else q
+    r = isqrt(b * b * n)
+    return (a + r) // c if b > 0 else (a - r - 1) // c
+
+
 def _cleared(v) -> tuple[int, list[int]]:
     """(p, V) with p the lcm of the denominators of the rationals v, V = p * v."""
     p = lcm(*(x.denominator for x in v))
     return p, [x.numerator * (p // x.denominator) for x in v]
+
+
+def _dot(f, w) -> int:
+    return sum(map(mul, f, w))
 
 
 # -- integer lattice helpers --------------------------------------------------

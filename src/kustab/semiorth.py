@@ -6,11 +6,13 @@ canonical basis of that sublattice, the numerical projection onto it, the
 induced Serre action, and the bookkeeping verdicts used to certify fullness
 arguments at the lattice level.
 
-Every chi(E_i, .) is read off the variety's integer pairing form (scale, G):
-a member cleared to E_i = M_i / p_i has the integer functional F_i = M_i^T G,
-and chi(E_i, W / q) = F_i . W / (scale p_i q) for an integer vector W.  The
-residual test, the kernel, the projection system and the Serre eigenvalue
-test are integer dot products and Hermite normal forms of these rows.
+Every chi(E_i, .) is an integer row from variety._functionals: a member
+cleared to E_i = M_i / p_i has the functional F_i = M_i^T G, and chi(E_i,
+W / q) is a positive multiple of F_i . W for an integer vector W.  The
+kernel, the projection system and classify_class's residual and Serre
+eigenvalue tests are integer dot products and HNFs of these rows.  The
+residual basis is the saturated kernel in HNF, so fullness_report accepts a
+lattice generator exactly when adding it leaves that HNF unchanged.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
 
-from .exact import DomainError, RatMatrix, _cleared, hnf_rows, int_kernel
-from .variety import (ChernVector, VarietyDesc, _pairing_matrix, _serre_matrix,
-                      from_lattice_coords, in_lattice, to_lattice_coords)
+from .exact import DomainError, RatMatrix, _cleared, _dot, hnf_rows, int_kernel
+from .variety import (ChernVector, VarietyDesc, _functionals, _pairing_matrix,
+                      _serre_matrix, euler_pairing, from_lattice_coords,
+                      in_lattice, to_lattice_coords)
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,6 @@ def is_numerically_exceptional(c: Collection) -> bool:
                for i in range(m))
 
 
-def _member_rows(x: VarietyDesc, members) -> list[tuple[list[int], list[int]]]:
-    # (M_i, F_i) per member E_i = M_i / p_i, with M_i an integer vector and
-    # F_i = M_i^T G its functional: chi(E_i, W / q) = F_i . W / (scale p_i q)
-    cols = list(zip(*x._form[1]))
-    return [(m, [_dot(m, col) for col in cols])
-            for m in (_cleared(x.check_class(e))[1] for e in members)]
-
-
-def _dot(f, w) -> int:
-    return sum(map(mul, f, w))
-
-
 def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     """Canonical basis of the residual lattice of the collection.
 
@@ -95,7 +86,7 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
         raise DomainError("collection member not in lattice")
     steps = [lcm(*x.denoms) // d for d in x.denoms]
     return [from_lattice_coords(x, k) for k in int_kernel(
-        [list(map(mul, f, steps)) for _, f in _member_rows(x, c.members)])]
+        [list(map(mul, f, steps)) for _, _, f in _functionals(x, c.members)])]
 
 
 def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
@@ -109,23 +100,16 @@ def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
     x.check_class(v)
     if not c.members:
         return v
-    rows = _member_rows(x, c.members)
+    rows = _functionals(x, c.members)
     q, w = _cleared(v)
-    gram = [[_dot(f, m) for m, _ in rows] for _, f in rows]
-    rhs = [_dot(f, w) for _, f in rows]
+    gram = [[_dot(f, m) for _, m, _ in rows] for _, _, f in rows]
+    rhs = [_dot(f, w) for _, _, f in rows]
     try:
         b = RatMatrix.from_rows(gram).solve(rhs)
     except DomainError:
         raise DomainError("degenerate collection pairing") from None
     return ChernVector((wk - _dot(b, col)) / q
-                       for wk, col in zip(w, zip(*(m for m, _ in rows))))
-
-
-def is_residual(x: VarietyDesc, c: Collection, v: ChernVector) -> bool:
-    if not in_lattice(x, v):
-        return False
-    w = _cleared(v)[1]
-    return not any(_dot(f, w) for _, f in _member_rows(x, c.members))
+                       for wk, col in zip(w, zip(*(m for _, m, _ in rows))))
 
 
 def serre_on_residual(x: VarietyDesc, c: Collection,
@@ -174,20 +158,19 @@ def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport
         raise DomainError("zero class")
     if not in_lattice(x, v):
         raise DomainError("not residual")
-    rows = _member_rows(x, c.members)
-    p, vv = _cleared(v)
-    if any(_dot(f, vv) for _, f in rows):
+    rows = _functionals(x, c.members)
+    vv = _cleared(v)[1]
+    if any(_dot(f, vv) for _, _, f in rows):
         raise DomainError("not residual")
-    scale, g = x._form
-    chi_self = Fraction(_dot(vv, [_dot(r, vv) for r in g]), scale * p * p)
-    if len(hnf_rows([[_dot(f, m) for m, _ in rows]
-                     for _, f in rows])) < len(rows):
+    chi_self = euler_pairing(x, v, v)
+    members = [m for _, m, _ in rows]
+    if len(hnf_rows([[_dot(f, m) for m in members]
+                     for _, _, f in rows])) < len(rows):
         raise DomainError("degenerate collection pairing")
     n, big = x.dim, factorial(x.dim)
     twist = [x.index ** k * (big // factorial(k)) for k in range(n + 1)]
     u = [(-1) ** n * sum(vv[i - k] * twist[k] for k in range(i + 1))
          for i in range(n + 1)]
-    members = [m for m, _ in rows]
     eigen: int | None = None
     for e in (1, -1):
         w = [a - e * big * b for a, b in zip(u, vv)]     # n! p (u - e v)
@@ -220,13 +203,14 @@ def fullness_report(x: VarietyDesc, c: Collection,
     already "numerically-full"; anything else is "inconclusive".
     """
     residual = right_orthogonal(x, c)
-    for g in residual_gens:
-        if not is_residual(x, c, g):
-            raise DomainError("generator not in residual lattice")
-    exceptional = is_numerically_exceptional(c)
     res_rows = [to_lattice_coords(x, b) for b in residual]   # already HNF
-    gen_rows = hnf_rows([to_lattice_coords(x, g) for g in residual_gens])
-    spans = gen_rows == res_rows
+    if not all(in_lattice(x, g) for g in residual_gens):
+        raise DomainError("generator not in residual lattice")
+    gen_rows = [to_lattice_coords(x, g) for g in residual_gens]
+    if hnf_rows(res_rows + gen_rows) != res_rows:   # some generator off span
+        raise DomainError("generator not in residual lattice")
+    exceptional = is_numerically_exceptional(c)
+    spans = hnf_rows(gen_rows) == res_rows
     checks = (
         ("collection numerically exceptional", exceptional),
         ("generators span residual lattice", spans),

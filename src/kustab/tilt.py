@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exact import DomainError, QuadNumber, rat
-from .variety import ChernVector, VarietyDesc, _truncated
+from .variety import ChernVector, VarietyDesc, _chi_o_top, _truncated
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,6 @@ class ExtSlope:
 
     value: Fraction | None    # None encodes +infinity
 
-    @classmethod
-    def finite(cls, q) -> "ExtSlope":
-        return cls(rat(q))
-
-    @classmethod
-    def infinity(cls) -> "ExtSlope":
-        return cls(None)
-
     @property
     def is_infinite(self) -> bool:
         return self.value is None
@@ -98,11 +90,14 @@ def charge_h(x: VarietyDesc, v: ChernVector, shift: int = 0) -> Charge:
     return Charge(Fraction(-d * c1, m), Fraction(d * c0, m))
 
 
+def _slope(num: int, den: int) -> ExtSlope:
+    # num / den, +infinity at den = 0: every slope of this module
+    return ExtSlope(Fraction(num, den) if den else None)
+
+
 def slope_h(x: VarietyDesc, v: ChernVector) -> ExtSlope:
     _, c0, c1, _ = _truncated(v)
-    if c0 == 0:
-        return ExtSlope.infinity()
-    return ExtSlope.finite(Fraction(c1, c0))
+    return _slope(c1, c0)
 
 
 def charge_tilt(x: VarietyDesc, v: ChernVector, shift: int,
@@ -131,8 +126,8 @@ def slope_tilt(x: VarietyDesc, v: ChernVector, p: TiltParams) -> ExtSlope:
     """mu_{alpha,beta} = -Re/Im of the tilt charge; shift invariant."""
     _, c0, c1, c2 = _truncated(v)
     r, i = _tilt_numbers(c0, c1, c2, p)
-    den = 2 * p.alpha.numerator * p.alpha.denominator * p.beta.denominator * i
-    return ExtSlope.infinity() if i == 0 else ExtSlope.finite(Fraction(-r, den))
+    return _slope(-r, 2 * p.alpha.numerator * p.alpha.denominator
+                  * p.beta.denominator * i)
 
 
 def discriminant_h(x: VarietyDesc, v: ChernVector) -> Fraction:
@@ -189,18 +184,16 @@ def _heart(c0: int, c1: int, c2: int, shift: int,
     # slopes become Fractions
     r, i = _tilt_numbers(c0, c1, c2, p)
     den = 2 * p.alpha.numerator * p.alpha.denominator * p.beta.denominator * i
-    mh = ExtSlope.infinity() if c0 == 0 else ExtSlope.finite(Fraction(c1, c0))
-    mt = ExtSlope.infinity() if i == 0 else ExtSlope.finite(Fraction(-r, den))
     signs = (c0 == 0 or c0 * i > 0,
              i == 0 or (-r * p.mu.denominator - p.mu.numerator * den) * i > 0)
     at_shift = [c for c in _HEART_CASES if c[1] == shift]
     held = [c for c in at_shift if c[2:] == signs]
     case, _, h_gt, t_gt = (held or at_shift)[0]
     checks = (
-        SlopeCheck(f"mu_H {'>' if h_gt else '<='} beta", mh, p.beta,
-                   signs[0] == h_gt),
-        SlopeCheck(f"mu_tilt {'>' if t_gt else '<='} mu", mt, p.mu,
-                   signs[1] == t_gt))
+        SlopeCheck(f"mu_H {'>' if h_gt else '<='} beta", _slope(c1, c0),
+                   p.beta, signs[0] == h_gt),
+        SlopeCheck(f"mu_tilt {'>' if t_gt else '<='} mu", _slope(-r, den),
+                   p.mu, signs[1] == t_gt))
     return HeartVerdict(case_id=case if held else None, shift_of_sheaf=shift,
                         slope_checks=checks)
 
@@ -304,12 +297,8 @@ def blms_check(x: VarietyDesc, members, p: TiltParams) -> BlmsReport:
 
 
 def _zero_charge_pairing(x: VarietyDesc) -> Fraction | None:
-    # condition (3): chi(O, H^n / lambda_n) = G[0][n] / (scale lambda_n) on
-    # the stored pairing form; None without the flag
-    if not x.low_deg_H_generated:
-        return None
-    scale, g = x._form
-    return Fraction(g[0][x.dim], scale * x.denoms[x.dim])
+    # condition (3): chi(O, H^n / lambda_n); None without the flag
+    return _chi_o_top(x) if x.low_deg_H_generated else None
 
 
 def _checks_text(verdict: HeartVerdict) -> str:

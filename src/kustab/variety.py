@@ -12,6 +12,10 @@ the H^n coefficient of ch(v)^dual * ch(w) * td times the degree.  Each
 descriptor stores it in integers as (scale, G): scale is the lcm of the Todd
 denominators, G[i][j] = scale * d * (-1)^i * t_(n-i-j) if i + j <= n, else 0,
 and chi(V/p, W/q) = V^T G W / (scale * p * q) for integer vectors V, W.
+
+Only this module reads (scale, G).  Other modules call euler_pairing,
+_pairing_matrix, _functionals (the integer rows F = V^T G of classes) and
+_chi_o_top (chi(O, H^n / lambda_n)).
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from operator import mul
 
-from .exact import DomainError, RatMatrix, _cleared, rat
+from .exact import DomainError, RatMatrix, _cleared, _dot, rat
 
 
 class ChernVector:
@@ -203,15 +206,26 @@ def gram_matrix(x: VarietyDesc, convention: str = "chi") -> RatMatrix:
                                 for row in x._form[1]])
 
 
+def _functionals(x: VarietyDesc, classes) -> list[tuple[int, list, list]]:
+    # (p, V, F) per class v = V / p, with V an integer vector and F = V^T G
+    # its functional: chi(V / p, W / q) = F . W / (scale p q)
+    cols = list(zip(*x._form[1]))
+    return [(p, v, [_dot(v, col) for col in cols])
+            for p, v in (_cleared(x.check_class(c)) for c in classes)]
+
+
 def _pairing_matrix(x: VarietyDesc, rows, cols) -> RatMatrix:
-    # entry (i, j) = chi(rows[i], cols[j]) = V_i^T G W_j / (scale p_i q_j);
-    # every pairing is computed here, with G W_j formed once per column
-    scale, g = x._form
-    gw = [(scale * q, [sum(map(mul, row, w)) for row in g])
-          for q, w in (_cleared(x.check_class(c)) for c in cols)]
+    # entry (i, j) = chi(rows[i], cols[j]); every pairing is computed here
+    scale, ws = x._form[0], [_cleared(x.check_class(c)) for c in cols]
     return RatMatrix(tuple(
-        tuple(Fraction(sum(map(mul, v, col)), p * d) for d, col in gw)
-        for p, v in (_cleared(x.check_class(r)) for r in rows)))
+        tuple(Fraction(_dot(f, w), scale * p * q) for q, w in ws)
+        for p, _, f in _functionals(x, rows)))
+
+
+def _chi_o_top(x: VarietyDesc) -> Fraction:
+    # chi(O, H^n / lambda_n) = G[0][n] / (scale lambda_n)
+    scale, g = x._form
+    return Fraction(g[0][x.dim], scale * x.denoms[x.dim])
 
 
 def _serre_matrix(g: RatMatrix) -> RatMatrix:

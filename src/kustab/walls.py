@@ -23,11 +23,13 @@ The bounds and the locus are computed in integers.  With M the lcm of the
 denominators of v_0, v_1, v_2, V_i = M v_i and N = V_1^2 - 2 V_0 V_2 > 0,
 beta_0 = (V_1 - sqrt(N))/V_0 and bound / degree = sqrt(N) / M (_line).  For
 w = (k_0/lam_0, k_1/lam_1, k_2/lam_2) each bound above, scaled to k_1 or
-k_2, is one floor of (A + B sqrt(N)) / C with integers A, B, C: _qfloor, or
-a plain division for the B = 0 of the two discriminants.  _locus gives the
-wall of v and w as integers (C0, C1, C2) from integer truncations; wall_scan
-takes v's once from _line, deduplicates on the primitive triple
-(C0, C1, C2) / g and builds Fractions once per distinct circle.
+k_2, is one floor of (A + B sqrt(N)) / C with integers A, B, C, taken by
+exact._qfloor, or a plain division for the B = 0 of the two discriminants.
+_locus gives the wall of v and w as integers (C0, C1, C2) from integer
+truncations; wall_scan takes v's once from _line, deduplicates on the
+primitive triple (C0, C1, C2) / g and builds Fractions once per distinct
+circle.  A scan box (2 floor(max_rank lam_0) + 1)(2 floor(max_c1 lam_1) + 1)
+of more than _SCAN_BUDGET lattice pairs is refused with DomainError.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .exact import DomainError, QuadNumber, rat
+from .exact import DomainError, QuadNumber, _qfloor, rat
 from .variety import ChernVector, VarietyDesc, _lattice_integral, _truncated
 
 
 _VIOLATION_RANK = 8     # rows |c0| <= 8 searched by first_interval_violation
+_SCAN_BUDGET = 2 ** 20  # lattice pairs (k0, k1) a wall_scan box may hold
 
 
 @dataclass(frozen=True)
@@ -195,15 +198,6 @@ def _wall(kind, c0, c1, c2, witnesses) -> WallCircle:
     return WallCircle(kind, witnesses=witnesses)
 
 
-def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:
-    """Largest k < (a + b sqrt(n)) / c, or k <= it if not strict; c > 0, s = isqrt(n)."""
-    if b == 0 or s * s == n:
-        q, r = divmod(a + b * s, c)
-        return q - 1 if strict and r == 0 else q
-    r = isqrt(b * b * n)    # floor(b sqrt(n)) is r, or -r - 1 for b < 0
-    return (a + r) // c if b > 0 else (a - r - 1) // c
-
-
 def _k1_range(denoms, line, k0: int) -> tuple[int, int]:
     """(k1_lo, k1_hi): the k1 whose (k0/lam0, k1/lam1) has value in (0, bound)."""
     lam0, lam1 = denoms[0], denoms[1]
@@ -255,6 +249,7 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     Fractions are built once per distinct circle, and the circles are
     sorted by center then radius.  An empty result is consistent with a
     no-wall certificate; a nonempty one lists candidates, not proven walls.
+    DomainError is raised when the box of pairs exceeds _SCAN_BUDGET.
     """
     line = _line(x, v)
     max_rank, max_c1 = rat(max_rank), rat(max_c1)
@@ -266,6 +261,10 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     walls: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     k0_hi = max_rank.numerator * lam0 // max_rank.denominator
     k1_box = max_c1.numerator * lam1 // max_c1.denominator
+    cells = (2 * k0_hi + 1) * (2 * k1_box + 1)
+    if cells > _SCAN_BUDGET:
+        raise DomainError(f"scan box of {cells} lattice pairs exceeds the "
+                          f"budget of {_SCAN_BUDGET}")
     for k0 in range(-k0_hi, k0_hi + 1):
         k1_lo, k1_hi = _k1_range(x.denoms, line, k0)
         for k1 in range(max(k1_lo, -k1_box), min(k1_hi, k1_box) + 1):

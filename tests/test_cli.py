@@ -12,7 +12,7 @@ import pytest
 from kustab.cli import ParseError, build_parser, default_collection, parse_class, run
 from kustab.svg import render_walls_svg
 from kustab.variety import ChernVector, get_preset
-from kustab.walls import WallCircle
+from kustab.walls import _SCAN_BUDGET, WallCircle
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
@@ -135,6 +135,15 @@ def test_domain_errors_exit_three(capsys):
         code, out, err = invoke_err(capsys, cmd, "--variety", "q3", "1,0,-1",
                                     "--max-rank", "-1")
         assert (code, out, err) == (3, "", "error: negative scan bound\n")
+
+
+def test_oversized_scan_exits_three(capsys):
+    for cmd in ("walls", "svg"):
+        code, out, err = invoke_err(capsys, cmd, "--variety", "q3", "1,0,-1",
+                                    "--max-rank", "1000000000")
+        assert (code, out) == (3, "")
+        assert err == (f"error: scan box of {(2 * 10 ** 9 + 1) * 7} lattice "
+                       f"pairs exceeds the budget of {_SCAN_BUDGET}\n")
 
 
 def test_alpha_range_on_a_curve_exits_three(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every kustab module uses each name it imports, and the package exports
-exactly the names its __init__ imports (no linter needed)."""
+"""Every kustab module uses each name it imports, the package exports
+exactly the names its __init__ imports, and only variety reads a variety's
+integer pairing form ._form (no linter needed)."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,20 @@ def test_package_all_matches_its_imports():
                 for a in node.names}
     assert imported == set(kustab.__all__)
     assert all(hasattr(kustab, name) for name in kustab.__all__)
+
+
+def form_reads(source: str) -> list[int]:
+    """Line numbers of the attribute accesses ._form in a module."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr == "_form"]
+
+
+def test_form_read_check_flags_an_orphan():
+    source = ('def f(x, _form):\n    form = x.form\n'
+              '    return x._form[0] + _form\n')
+    assert form_reads(source) == [3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_variety_reads_the_pairing_form(path):
+    assert bool(form_reads(path.read_text())) == (path.name == "variety.py")

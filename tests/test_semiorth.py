@@ -13,7 +13,7 @@ from kustab.semiorth import (ClassReport, Collection, classify_class,
                              right_orthogonal, serre_on_residual, sod_project)
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
                             euler_pairing, exp_twist, get_preset,
-                            line_bundle_class, serre_inverse_class,
+                            in_lattice, line_bundle_class, serre_inverse_class,
                             to_lattice_coords)
 
 from oracles import (classify_by_projection, hilbert_q3,
@@ -354,3 +354,50 @@ def test_serre_on_residual_matches_projection_oracle():
                 sbj = sbj + s[k, j] * bk
             for bi in basis:
                 assert euler_pairing(x, bi, sbj) == euler_pairing(x, bj, bi)
+
+
+def _accepts(x, c, gens):
+    # True when fullness_report takes the generators, False when it rejects
+    # them as non-residual; any other error fails the test
+    try:
+        fullness_report(x, c, gens, True)
+    except DomainError as exc:
+        assert str(exc) == "generator not in residual lattice", (x.name, gens)
+        return False
+    return True
+
+
+def test_fullness_generator_check_matches_pairing_oracle():
+    # oracle: a generator is residual iff it is a lattice class with
+    # chi(E_i, g) = 0 for every member E_i
+    rng = random.Random(2718)
+    seen = Counter()
+    for c in _collections():
+        x = c.variety
+        basis = right_orthogonal(x, c)
+        zero = ChernVector([0] * (x.dim + 1))
+
+        def combination():
+            g = zero
+            for b in basis:
+                g = g + rng.randint(-3, 3) * b
+            return g
+
+        gens = [zero, combination(), combination() * Fraction(1, 2),
+                combination() + rng.choice(c.members),
+                ChernVector([Fraction(rng.randint(-3, 3), d) for d in x.denoms]),
+                ChernVector([Fraction(rng.randint(-3, 3), 2 * d)
+                             for d in x.denoms])]
+        gens += [b * Fraction(1, 2) for b in basis]
+        if x is Q3:
+            gens.append(SPINOR_CLASS * Fraction(1, 2))
+        oracle = [in_lattice(x, g) and not any(euler_pairing(x, e, g)
+                                               for e in c.members)
+                  for g in gens]
+        for g, want in zip(gens, oracle):
+            assert _accepts(x, c, [g]) == want, (x.name, c.members, g)
+            seen[want, in_lattice(x, g)] += 1
+        assert _accepts(x, c, gens) == all(oracle)
+        assert _accepts(x, c, [g for g, ok in zip(gens, oracle) if ok])
+    assert min(seen[k] for k in ((True, True), (False, True),
+                                 (False, False))) >= 100, seen

@@ -7,13 +7,14 @@ from math import isqrt
 
 import pytest
 
-from kustab.exact import DomainError, QuadNumber, is_square
+from kustab.exact import DomainError, QuadNumber, _qfloor, is_square
 from kustab.tilt import (TiltParams, charge_h, charge_tilt, discriminant_h,
                          heart_case, slope_h, slope_tilt, zero_charge_class)
 from kustab.variety import (PRESETS, ChernVector, exp_twist, get_preset,
                             line_bundle_class)
-from kustab.walls import (_locus, _qfloor, beta_zero, first_interval_violation,
-                          nowall_certificate, wall_circle, wall_scan)
+from kustab.walls import (_SCAN_BUDGET, _locus, beta_zero,
+                          first_interval_violation, nowall_certificate,
+                          wall_circle, wall_scan)
 
 from oracles import (beta_zero_parts, discriminant, enumerate_walls,
                      floor_a_plus_b_sqrt, sign_a_plus_b_sqrt, wall_equation,
@@ -269,6 +270,23 @@ def test_wall_scan_error_propagates():
             wall_scan(Q3, IRRATIONAL, *bounds)
     with pytest.raises(DomainError, match="class not in lattice"):
         wall_scan(Q3, ChernVector([Fraction(1, 2), 0, -1]), 3, 3)
+
+
+def test_wall_scan_budget():
+    # the largest benchmark box, |c0| <= 32 and |c1| <= 256, fits 30 times
+    assert _SCAN_BUDGET >= 30 * 65 * 513
+    with pytest.raises(DomainError) as exc:
+        wall_scan(Q3, IRRATIONAL, 10 ** 9, 3)
+    assert str(exc.value) == (f"scan box of {(2 * 10 ** 9 + 1) * 7} lattice "
+                              f"pairs exceeds the budget of {_SCAN_BUDGET}")
+    # the box counts lattice pairs, so a fractional bound floors to whole steps
+    side = isqrt(_SCAN_BUDGET) // 2    # (2 side + 1)^2 > budget >= (2 side - 1)^2
+    assert len(wall_scan(Q3, IRRATIONAL, side - 1, Fraction(2 * side - 1, 2))) == 4
+    with pytest.raises(DomainError, match="exceeds the budget"):
+        wall_scan(Q3, IRRATIONAL, side, side)
+    # the bounds are checked before the budget
+    with pytest.raises(DomainError, match="negative scan bound"):
+        wall_scan(Q3, IRRATIONAL, 10 ** 9, -1)
 
 
 def test_wall_scan_irrational_example():
