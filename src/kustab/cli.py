@@ -302,8 +302,7 @@ _ARGUMENTS = {
     "--alpha-max": dict(type=_rational, default=Fraction(3)),
     "--gen": dict(action="append", default=[],
                   help="residual generator token (repeatable)"),
-    "--stability-assumed": dict(action=argparse.BooleanOptionalAction,
-                                default=False),
+    "--stability-assumed": dict(action="store_true"),
 }
 
 

@@ -2,7 +2,8 @@
 
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 real quadratic numbers a + b*sqrt(F) carry their radicand symbolically, and
-kernels are computed over the integers by unimodular reduction.  No floating
+hnf_rows is the one elimination: integer kernels, span and rank tests, and
+RatMatrix.rref (so rank, inverse and solve) all read it.  No floating
 point enters any decision path, and no approximation is used anywhere.  The
 one floor of a quadratic number, for QuadNumber.floor and the wall scan, is
 _qfloor on integers.
@@ -208,7 +209,7 @@ class QuadNumber:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """A dense matrix of Fractions with exact kernel and inverse."""
+    """A dense matrix of Fractions with exact rank, inverse and solve."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -255,26 +256,21 @@ class RatMatrix:
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        m = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return m, pivots
+        """Reduced row echelon form and the list of pivot columns.
+
+        Cleared rows span the same space over Q, so hnf_rows of them, each
+        row divided by its pivot and then cleared in the later pivot columns,
+        is the unique reduced form; zero rows are padded back at the end.
+        """
+        h = hnf_rows([_cleared(r)[1] for r in self.entries])
+        pivots = [next(j for j, x in enumerate(r) if x) for r in h]
+        m = [[Fraction(x, r[c]) for x in r] for r, c in zip(h, pivots)]
+        for i, c in enumerate(pivots):
+            for k in range(i):
+                if f := m[k][c]:
+                    m[k] = [x - f * y for x, y in zip(m[k], m[i])]
+        return m + [[Fraction(0)] * self.cols
+                    for _ in range(self.rows - len(m))], pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -120,6 +120,11 @@ def test_usage_errors_exit_two(capsys):
         err = capsys.readouterr().err
         assert err.endswith("invalid rational value: '1/0'\n")
         assert err.count("\n") == 1
+    # --stability-assumed is a plain flag with no negated form
+    code, out, err = invoke_err(capsys, "fullness", "--variety", "q3",
+                                "--no-stability-assumed")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_domain_errors_exit_three(capsys):

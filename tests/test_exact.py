@@ -13,7 +13,7 @@ from kustab.exact import (DomainError, QuadNumber, RatMatrix, hnf_rows,
 from kustab.svg import _sqrt_trunc
 from kustab.tilt import AlphaInterval
 
-from oracles import (floor_a_plus_b_sqrt, row_reduce_rank,
+from oracles import (floor_a_plus_b_sqrt, row_reduce_rank, solve_square,
                      sign_a_plus_b_sqrt, sqrt_interval)
 
 # the 3 x 4 orthogonality system: rows ch(O), ch(O(1)), ch(O(2)) against the
@@ -263,6 +263,74 @@ def test_matrix_inverse_and_solve():
     assert m.solve([1, 1, 1]) == (7, -4, 1)
     with pytest.raises(DomainError):
         RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+def _random_rat_rows(rng):
+    # 0-7 rows and columns, denominators 1, 2, 3 and 12, zeros, and now and
+    # then a row that is a combination of two others
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    m = [[Fraction(rng.choice((0, 0, rng.randint(-9, 9))),
+                   rng.choice((1, 2, 3, 12))) for _ in range(cols)]
+         for _ in range(rows)]
+    if rows > 2 and rng.random() < 0.4:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[rng.randrange(2, rows)] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def _rat_inputs():
+    rng = random.Random(2025)
+    return [_random_rat_rows(rng) for _ in range(2000)]
+
+
+def test_rref_rank_inverse_solve_match_oracles():
+    # rref: reduced echelon shape, every row of its own, zero rows last, the
+    # same row space; rank, inverse and solve against the oracles
+    rng = random.Random(7)
+    for rows in _rat_inputs():
+        m = RatMatrix.from_rows(rows)
+        red, pivots = m.rref()
+        rank = len(pivots)
+        assert len(red) == m.rows and len({id(r) for r in red}) == m.rows
+        assert all(len(r) == m.cols for r in red), rows
+        assert pivots == sorted(set(pivots)), rows
+        for i, c in enumerate(pivots):
+            assert not any(red[i][:c]) and red[i][c] == 1, rows
+            assert all(red[k][c] == 0 for k in range(m.rows) if k != i), rows
+        assert not any(x for r in red[rank:] for x in r), rows
+        assert (row_reduce_rank(rows + red) == row_reduce_rank(rows)
+                == rank == m.rank()), rows
+        if m.rows == m.cols:
+            b = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                 for _ in rows]
+            x = solve_square(rows, b)
+            if x is None:
+                with pytest.raises(DomainError, match="no unique solution"):
+                    m.solve(b)
+                with pytest.raises(DomainError, match="singular matrix"):
+                    m.inverse()
+            else:
+                assert list(m.solve(b)) == x, rows
+                cols = [solve_square(rows, e) for e in RatMatrix.identity(
+                    m.rows).entries]
+                assert m.inverse().transpose().entries == tuple(
+                    map(tuple, cols)), rows
+        elif rank == m.cols > 0:    # tall, full column rank, consistent
+            x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(m.cols))
+            assert m.solve(m.apply(x)) == x, rows
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for rows in _rat_inputs():
+        r = len(rows)
+        c = len(rows[0]) if rows else 0
+        red, pivots = sympy.Matrix(
+            r, c, [sympy.Rational(x.numerator, x.denominator)
+                   for row in rows for x in row]).rref()
+        ours = RatMatrix.from_rows(rows).rref()
+        assert ours == ([[Fraction(int(e.p), int(e.q)) for e in red.row(i)]
+                         for i in range(r)], list(pivots)), rows
 
 
 def _random_int_matrix(rng):

@@ -1,6 +1,7 @@
-"""Every kustab module uses each name it imports, the package exports
-exactly the names its __init__ imports, and only variety reads a variety's
-integer pairing form ._form (no linter needed)."""
+"""Every kustab module uses each name it imports, every private module-level
+function has a reader, the package exports exactly the names its __init__
+imports, and only variety reads a variety's integer pairing form ._form (no
+linter needed)."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,41 @@ def test_unused_import_check_flags_an_orphan():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_functions(sources: list[str]) -> list[str]:
+    """Module-level functions named _x that no code outside their own body
+    reads, by name or as an attribute, in any of the sources."""
+    trees = [ast.parse(source) for source in sources]
+    reads = [(id(n), n.id if isinstance(n, ast.Name) else n.attr)
+             for tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+             or isinstance(n, ast.Attribute)]
+    unread = []
+    for fn in (fn for tree in trees for fn in tree.body):
+        if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                and not fn.name.startswith("__")):
+            own = {id(n) for n in ast.walk(fn)}
+            if not any(name == fn.name and n not in own for n, name in reads):
+                unread.append(fn.name)
+    return unread
+
+
+def test_private_function_check_flags_an_orphan():
+    source = ('import m\ndef _used():\n    return 1\n'
+              'def _orphan():\n    return _used()\n'
+              'def _recursive(n):\n    return _recursive(n - 1)\n'
+              'def _via_attribute():\n    pass\n'
+              'def __dunder__():\n    pass\n'
+              'class C:\n    def _method(self):\n        pass\n')
+    other = 'x = m._via_attribute\n'
+    assert unread_private_functions([source, other]) == ["_orphan",
+                                                         "_recursive"]
+
+
+def test_every_private_function_has_a_reader():
+    assert unread_private_functions(
+        [p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
 
 
 def test_package_all_matches_its_imports():

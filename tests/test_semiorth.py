@@ -148,6 +148,48 @@ def test_induced_serre_identity_on_y2():
     assert s.entries == ((1, 0), (0, 1))
 
 
+def _residual_gram(x, count):
+    # chi(b_i, b_j) on the right_orthogonal basis of <O, ..., O(count - 1)>
+    basis = right_orthogonal(x, block(x, count))
+    return basis, RatMatrix.from_rows(
+        [[euler_pairing(x, u, v) for v in basis] for u in basis])
+
+
+def _changed(basis, p):
+    # the classes p[i][0] b_0 + p[i][1] b_1 of a rank-2 change of basis p
+    return [basis[0] * r[0] + basis[1] * r[1] for r in p.entries]
+
+
+def test_residual_form_y2_is_negative_definite():
+    basis, g = _residual_gram(Y2, 2)
+    assert g.entries == ((-1, -1), (-1, -2))
+    p = RatMatrix.from_rows([[1, 0], [-1, 1]])
+    assert (p @ g @ p.transpose()).entries == ((-1, 0), (0, -1))
+    # so chi(v, v) = -(a^2 + b^2): no numerically exceptional or isotropic class
+    e = _changed(basis, p)
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            v = e[0] * a + e[1] * b
+            assert euler_pairing(Y2, v, v) == -(a * a + b * b)
+
+
+def test_residual_form_q3_pair_is_an_exceptional_pair():
+    basis, g = _residual_gram(Q3, 2)
+    assert g.entries == ((-2, -1), (-5, -3))
+    p = RatMatrix.from_rows([[1, -1], [-2, 1]])
+    assert (p @ g @ p.transpose()).entries == ((1, -4), (0, 1))
+    assert is_numerically_exceptional(
+        Collection(variety=Q3, members=tuple(_changed(basis, p))))
+    serre = g.inverse() @ g.transpose()
+    assert serre == serre_on_residual(Q3, block(Q3, 2))
+    assert sum(serre[i, i] for i in range(2)) == -14
+
+
+def test_residual_form_q3_full_block_is_spanned_by_s():
+    basis, g = _residual_gram(Q3, 3)
+    assert basis == [SPINOR_CLASS] and g.entries == ((1,),)
+
+
 def test_induced_serre_y4_fixes_spinor_line_with_sign():
     c = block(Y4)
     img = sod_project(Y4, c, serre_inverse_class(Y4, SPINOR_CLASS))
