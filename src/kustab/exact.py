@@ -3,10 +3,10 @@
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 real quadratic numbers a + b*sqrt(F) carry their radicand symbolically, and
 hnf_rows is the one elimination: integer kernels, span and rank tests, and
-RatMatrix.rref (so rank, inverse and solve) all read it.  No floating
-point enters any decision path, and no approximation is used anywhere.  The
-one floor of a quadratic number, for QuadNumber.floor and the wall scan, is
-_qfloor on integers.
+RatMatrix.rref all read it, and RatMatrix._divide, the one linear solve,
+reads rref.  No floating point enters any decision path, and no
+approximation is used anywhere.  The one floor of a quadratic number, for
+QuadNumber.floor and the wall scan, is _qfloor on integers.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class QuadNumber:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """A dense matrix of Fractions with exact rank, inverse and solve."""
+    """A dense matrix of Fractions; _divide solves every self @ X = B."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -279,29 +279,30 @@ class RatMatrix:
         n = self.rows
         if n != self.cols:
             raise DomainError("not square")
-        aug = RatMatrix.from_rows(
-            [list(self.entries[i]) + [Fraction(i == j) for j in range(n)]
-             for i in range(n)])
-        red, piv = aug.rref()
-        if piv[:n] != list(range(n)):
-            raise DomainError("singular matrix")
-        return RatMatrix.from_rows([r[n:] for r in red])
+        return RatMatrix.from_rows(self._divide(
+            [[Fraction(i == j) for j in range(n)] for i in range(n)],
+            "singular matrix"))
 
     def solve(self, rhs) -> tuple[Fraction, ...]:
-        """The unique x with self @ x = rhs, by rref of the augmented matrix.
+        """The unique x with self @ x = rhs.
 
         Accepts square nonsingular systems and consistent tall systems of
         full column rank; anything else raises DomainError.
         """
-        b = [rat(y) for y in rhs]
+        b = [[rat(y)] for y in rhs]
         if len(b) != self.rows:
             raise DomainError("dimension mismatch")
+        return tuple(y for y, in self._divide(b, "no unique solution"))
+
+    def _divide(self, b, message: str) -> list[list[Fraction]]:
+        # rows of the unique X with self @ X = b (b by rows), read off
+        # rref([self | b]); DomainError(message) unless its pivots are self's
         k = self.cols
         red, pivots = RatMatrix.from_rows(
-            [list(r) + [y] for r, y in zip(self.entries, b)]).rref()
+            [[*r, *y] for r, y in zip(self.entries, b)]).rref()
         if pivots != list(range(k)):
-            raise DomainError("no unique solution")
-        return tuple(red[i][k] for i in range(k))
+            raise DomainError(message)
+        return [r[k:] for r in red[:k]]
 
 
 def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:

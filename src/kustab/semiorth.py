@@ -11,8 +11,9 @@ cleared to E_i = M_i / p_i has the functional F_i = M_i^T G, and chi(E_i,
 W / q) is a positive multiple of F_i . W for an integer vector W.  The
 kernel, the projection system and classify_class's residual and Serre
 eigenvalue tests are integer dot products and HNFs of these rows.  The
-residual basis is the saturated kernel in HNF, so fullness_report accepts a
-lattice generator exactly when adding it leaves that HNF unchanged.
+residual basis is the saturated kernel in HNF, read once as lattice rows by
+_residual, so fullness_report accepts a lattice generator exactly when
+adding it leaves that HNF unchanged.
 """
 
 from __future__ import annotations
@@ -69,6 +70,17 @@ def is_numerically_exceptional(c: Collection) -> bool:
                for i in range(m))
 
 
+def _residual(x: VarietyDesc, c: Collection) -> list[list[int]]:
+    # lattice coordinates of the canonical residual basis: the saturated
+    # kernel, in HNF, of the members' functionals; with no members, the
+    # kernel of the zero row, which is the unit rows
+    if not all(in_lattice(x, m) for m in c.members):
+        raise DomainError("collection member not in lattice")
+    steps = [lcm(*x.denoms) // d for d in x.denoms]
+    return int_kernel([list(map(mul, f, steps)) for _, _, f in
+                       _functionals(x, c.members)] or [[0] * len(steps)])
+
+
 def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     """Canonical basis of the residual lattice of the collection.
 
@@ -78,15 +90,7 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     reads the kernel of those rows off a Hermite normal form, so the basis
     is saturated, in row HNF with positive pivots, and deterministic.
     """
-    n = x.dim     # no members: the lattice basis H^j / lambda_j
-    if not c.members:
-        return [from_lattice_coords(x, [int(i == j) for i in range(n + 1)])
-                for j in range(n + 1)]
-    if not all(in_lattice(x, m) for m in c.members):
-        raise DomainError("collection member not in lattice")
-    steps = [lcm(*x.denoms) // d for d in x.denoms]
-    return [from_lattice_coords(x, k) for k in int_kernel(
-        [list(map(mul, f, steps)) for _, _, f in _functionals(x, c.members)])]
+    return [from_lattice_coords(x, k) for k in _residual(x, c)]
 
 
 def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
@@ -103,11 +107,9 @@ def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
     rows = _functionals(x, c.members)
     q, w = _cleared(v)
     gram = [[_dot(f, m) for _, m, _ in rows] for _, _, f in rows]
-    rhs = [_dot(f, w) for _, _, f in rows]
-    try:
-        b = RatMatrix.from_rows(gram).solve(rhs)
-    except DomainError:
-        raise DomainError("degenerate collection pairing") from None
+    rhs = [[_dot(f, w)] for _, _, f in rows]
+    b = [y for y, in RatMatrix.from_rows(gram)._divide(
+        rhs, "degenerate collection pairing")]
     return ChernVector((wk - _dot(b, col)) / q
                        for wk, col in zip(w, zip(*(m for _, m, _ in rows))))
 
@@ -117,11 +119,11 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
     """Matrix of the induced Serre action on the residual lattice A.
 
     In the given basis of A (by default the canonical one) it is G^-1 G^T,
-    where G is the Gram matrix chi(b_i, b_j) of the basis.  The inverse
-    Serre functor of the residual category is T = P . S^-1, the projection
-    after the ambient inverse Serre action; for v, w in A the difference
-    P S^-1 v - S^-1 v lies in span(E), which pairs to 0 with A on the left,
-    so T^T G = G^T and T^-1 = G^-1 G^T.
+    solved from G X = G^T, G the Gram matrix chi(b_i, b_j) of the basis.
+    The inverse Serre functor of the residual category is T = P . S^-1,
+    the projection after the ambient inverse Serre action; for v, w in A
+    the difference P S^-1 v - S^-1 v lies in span(E), which pairs to 0
+    with A on the left, so T^T G = G^T and T^-1 = G^-1 G^T.
 
     An empty basis gives the empty matrix.  Otherwise DomainError
     "degenerate collection pairing" is raised when the members are
@@ -133,11 +135,8 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
         return RatMatrix.from_rows([])
     if len(basis) + len(c) != x.dim + 1:    # the members are dependent
         raise DomainError("degenerate collection pairing")
-    g = _pairing_matrix(x, basis, basis)
-    try:
-        return _serre_matrix(g)
-    except DomainError:
-        raise DomainError("degenerate collection pairing") from None
+    return _serre_matrix(_pairing_matrix(x, basis, basis),
+                         "degenerate collection pairing")
 
 
 def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport:
@@ -202,8 +201,7 @@ def fullness_report(x: VarietyDesc, c: Collection,
     "full-modulo-phantoms-excluded"; (a) + (b) with residual rank zero is
     already "numerically-full"; anything else is "inconclusive".
     """
-    residual = right_orthogonal(x, c)
-    res_rows = [to_lattice_coords(x, b) for b in residual]   # already HNF
+    res_rows = _residual(x, c)
     if not all(in_lattice(x, g) for g in residual_gens):
         raise DomainError("generator not in residual lattice")
     gen_rows = [to_lattice_coords(x, g) for g in residual_gens]
@@ -216,7 +214,7 @@ def fullness_report(x: VarietyDesc, c: Collection,
         ("generators span residual lattice", spans),
         ("stability condition assumed", stability_assumed),
     )
-    if exceptional and spans and not residual:
+    if exceptional and spans and not res_rows:
         verdict = "numerically-full"
     elif exceptional and spans and stability_assumed:
         verdict = "full-modulo-phantoms-excluded"
@@ -224,7 +222,7 @@ def fullness_report(x: VarietyDesc, c: Collection,
         verdict = "inconclusive"
     return FullnessVerdict(
         collection_rank=len(c),
-        residual_rank=len(residual),
+        residual_rank=len(res_rows),
         total_rank=x.dim + 1,
         stability_assumed=stability_assumed,
         verdict=verdict,

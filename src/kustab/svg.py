@@ -9,12 +9,14 @@ all decisions have been made exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 
-from .exact import QuadNumber, rat
+from .exact import DomainError, QuadNumber, rat
 from .walls import WallCircle
 
 SCALE = 100          # pixels per unit
 MARGIN = 40
+_TICK_BUDGET = 4096  # integer beta ticks a viewport may hold
 
 
 def _trunc6(q: Fraction) -> str:
@@ -34,13 +36,19 @@ def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
 
     viewport maps beta_min, beta_max, alpha_max to rationals.  Circles
     become upper semicircular paths with their witnesses in title elements;
-    vertical-line walls become segments.
+    vertical-line walls become segments.  DomainError is raised when the
+    viewport holds more than _TICK_BUDGET integer beta ticks.
     """
     beta_min = rat(viewport["beta_min"])
     beta_max = rat(viewport["beta_max"])
     alpha_max = rat(viewport["alpha_max"])
     if beta_max <= beta_min or alpha_max <= 0:
         raise ValueError("empty viewport")
+    first = ceil(beta_min)
+    count = floor(beta_max) + 1 - first
+    if count > _TICK_BUDGET:
+        raise DomainError(f"viewport of {count} beta ticks exceeds the "
+                          f"budget of {_TICK_BUDGET}")
 
     def px(beta: Fraction) -> str:
         return _trunc6((beta - beta_min) * SCALE + MARGIN)
@@ -61,14 +69,9 @@ def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
         lines.append(
             f'<line class="axis" x1="{px(Fraction(0))}" y1="{py(Fraction(0))}" '
             f'x2="{px(Fraction(0))}" y2="{py(alpha_max)}" stroke="black"/>')
-    b = beta_min.numerator // beta_min.denominator
-    while b <= beta_max:
-        if beta_min <= b <= beta_max:
-            lines.append(
-                f'<text class="tick" x="{px(Fraction(b))}" '
-                f'y="{_trunc6((alpha_max) * SCALE + MARGIN + 16)}" '
-                f'font-size="12" text-anchor="middle">{b}</text>')
-        b += 1
+    tick_y = _trunc6(alpha_max * SCALE + MARGIN + 16)
+    lines += [f'<text class="tick" x="{px(Fraction(b))}" y="{tick_y}" '
+              f'font-size="12" text-anchor="middle">{b}</text>' for b in range(first, first + count)]
     for c in circles:
         title = "; ".join(w.text() for w in c.witnesses)
         if c.kind == "circle":

@@ -228,13 +228,10 @@ def _chi_o_top(x: VarietyDesc) -> Fraction:
     return Fraction(g[0][x.dim], scale * x.denoms[x.dim])
 
 
-def _serre_matrix(g: RatMatrix) -> RatMatrix:
-    # S with chi(v, S w) = chi(w, v) on the basis whose pairing matrix is g
-    try:
-        ginv = g.inverse()
-    except DomainError:
-        raise DomainError("degenerate pairing") from None
-    return ginv @ g.transpose()
+def _serre_matrix(g: RatMatrix, message: str) -> RatMatrix:
+    # S with chi(v, S w) = chi(w, v) on the basis whose pairing matrix is g:
+    # the solution of g S = g^T, or DomainError(message) when g is singular
+    return RatMatrix.from_rows(g._divide(zip(*g.entries), message))
 
 
 def serre_class(x: VarietyDesc, v: ChernVector) -> ChernVector:
@@ -249,13 +246,13 @@ def serre_inverse_class(x: VarietyDesc, v: ChernVector) -> ChernVector:
 
 
 def serre_numeric(x: VarietyDesc) -> RatMatrix:
-    """Matrix S with chi(v, S w) = chi(w, v), solved as G^-1 G^T.
+    """Matrix S with chi(v, S w) = chi(w, v), the solution of G S = G^T.
 
     Equals the matrix of v -> (-1)^n exp_twist(v, -index) on the basis
     {1, H, ..., H^n}; the two constructions agreeing is a standing
     consistency check in the test suite.
     """
-    return _serre_matrix(gram_matrix(x))
+    return _serre_matrix(gram_matrix(x), "degenerate pairing")
 
 
 def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:

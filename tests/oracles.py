@@ -8,6 +8,7 @@ the library against derivations that do not share code with it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, isqrt
 
 
@@ -149,6 +150,30 @@ def solve_square(mat, rhs):
                 f = m[r][c] / m[c][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def rank2_model(g, bound: int = 6):
+    """(P, P G P^T) for the first P in GL2(Z) that takes G to a model, or None.
+
+    The models are [[1, a], [0, 1]] (numerically an exceptional pair),
+    [[1 - g, 1], [-1, 0]] (numerically D^b of a genus-g curve) and +-I2 (a
+    definite symmetric form).  P runs over the integer matrices with
+    |p_ij| <= bound and determinant +-1, by largest entry and then
+    lexicographically, so the answer is the smallest such P.
+    """
+    span = range(-bound, bound + 1)
+    for p in sorted(product(span, repeat=4),
+                    key=lambda p: (max(map(abs, p)), p)):
+        if abs(p[0] * p[3] - p[1] * p[2]) != 1:
+            continue
+        rows = (p[:2], p[2:])
+        m = [[sum(r[i] * g[i][j] * s[j] for i in range(2) for j in range(2))
+              for s in rows] for r in rows]
+        if (m[1][0] == 0 and m[0][0] == m[1][1] == 1
+                or m[0][1] == 1 and m[1][0] == -1 and m[1][1] == 0
+                or m[0][1] == m[1][0] == 0 and m[0][0] == m[1][1] in (1, -1)):
+            return [list(r) for r in rows], m
+    return None
 
 
 # -- residual classes by projection --------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from kustab.cli import ParseError, build_parser, default_collection, parse_class, run
-from kustab.svg import render_walls_svg
+from kustab.exact import DomainError
+from kustab.svg import _TICK_BUDGET, render_walls_svg
 from kustab.variety import ChernVector, get_preset
 from kustab.walls import _SCAN_BUDGET, WallCircle
 
@@ -356,6 +358,30 @@ def test_render_walls_svg_unit():
     assert one.count(b"<path") == 1
     assert render_walls_svg([], {"beta_min": -2, "beta_max": 2,
                                  "alpha_max": 2}) == empty
+
+
+def test_svg_tick_budget(capsys):
+    # one tick per integer beta in the viewport, at most _TICK_BUDGET of them
+    def ticks(lo, hi):
+        doc = render_walls_svg([], {"beta_min": lo, "beta_max": hi,
+                                    "alpha_max": 1}).decode()
+        return [int(t) for t in re.findall(r'class="tick".*>(-?\d+)<', doc)]
+
+    assert ticks("-5/2", "7/3") == [-2, -1, 0, 1, 2]
+    assert ticks("-1/2", _TICK_BUDGET - 1) == list(range(_TICK_BUDGET))
+    message = (f"viewport of {_TICK_BUDGET + 1} beta ticks exceeds the "
+               f"budget of {_TICK_BUDGET}")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ticks(-1, _TICK_BUDGET - 1)
+    with pytest.raises(ValueError, match="^empty viewport$"):
+        ticks(1, 1)
+    for e in (9, 30):     # 10^30 ticks do not fit a range's len()
+        code, out, err = invoke_err(capsys, "svg", "--variety", "q3",
+                                    "1,0,-1", "--beta-min", f"-1{'0' * e}",
+                                    "--beta-max", f"1{'0' * e}")
+        assert (code, out, err) == (
+            3, "", f"error: viewport of {2 * 10 ** e + 1} beta ticks exceeds "
+            f"the budget of {_TICK_BUDGET}\n")
 
 
 def test_parser_builds_help():

@@ -1,6 +1,7 @@
 """Exact substrate: kernels, Hermite normal form, quadratic comparisons."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -318,6 +319,54 @@ def test_rref_rank_inverse_solve_match_oracles():
         elif rank == m.cols > 0:    # tall, full column rank, consistent
             x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(m.cols))
             assert m.solve(m.apply(x)) == x, rows
+
+
+def test_divide_matches_inverse_and_oracle():
+    # square, singular and tall systems self @ X = B: a square X is
+    # inverse() @ B and solve_square per column, a tall X solves the system
+    # of full column rank, and anything else raises the caller's message
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(600):
+        n, k = rng.randint(1, 5), rng.randint(1, 3)
+        tall = rng.random() < 0.4
+        rows = [[Fraction(rng.choice((0, rng.randint(-9, 9))),
+                          rng.choice((1, 2, 3, 12))) for _ in range(n)]
+                for _ in range(n + rng.randint(1, 2) * tall)]
+        if n > 1 and rng.random() < 0.25:     # a dependent column
+            j = rng.randrange(1, n)
+            for r in rows:
+                r[j] = 2 * r[0]
+        m = RatMatrix.from_rows(rows)
+        b = [[Fraction(rng.randint(-5, 5), rng.choice((1, 3)))
+              for _ in range(k)] for _ in rows]
+        if tall and rng.random() < 0.7:     # consistent: b = m @ x
+            b = [list(r) for r in (m @ RatMatrix.from_rows(
+                [[rng.randint(-5, 5) for _ in range(k)]
+                 for _ in range(n)])).entries]
+        unique = row_reduce_rank(rows) == n == row_reduce_rank(
+            [[*r, *y] for r, y in zip(rows, b)])
+        if not unique:
+            with pytest.raises(DomainError, match="^caller message$"):
+                m._divide(b, "caller message")
+            if not tall:
+                assert solve_square(rows, [r[0] for r in b]) is None, rows
+                with pytest.raises(DomainError, match="singular matrix"):
+                    m.inverse()
+            seen["tall, not unique" if tall else "singular"] += 1
+            continue
+        got = m._divide(b, "caller message")
+        assert len(got) == n and all(len(r) == k for r in got), rows
+        assert (m @ RatMatrix.from_rows(got)).entries == tuple(
+            map(tuple, b)), rows
+        if not tall:
+            assert got == [list(r) for r in (
+                m.inverse() @ RatMatrix.from_rows(b)).entries], rows
+            for j in range(k):
+                assert [r[j] for r in got] == solve_square(
+                    rows, [r[j] for r in b]), rows
+        seen["tall" if tall else "square"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
 def test_rref_matches_sympy():

@@ -1,7 +1,7 @@
 """Every kustab module uses each name it imports, every private module-level
-function has a reader, the package exports exactly the names its __init__
-imports, and only variety reads a variety's integer pairing form ._form (no
-linter needed)."""
+function and class-body method has a reader, the package exports exactly the
+names its __init__ imports, and only variety reads a variety's integer
+pairing form ._form (no linter needed)."""
 
 import ast
 from pathlib import Path
@@ -49,20 +49,24 @@ def test_module_has_no_unused_import(path):
 
 
 def unread_private_functions(sources: list[str]) -> list[str]:
-    """Module-level functions named _x that no code outside their own body
-    reads, by name or as an attribute, in any of the sources."""
+    """Module-level functions and class-body methods named _x that no code
+    outside their own body reads, by name or as an attribute, in any of the
+    sources; a method is reported as Class._x."""
     trees = [ast.parse(source) for source in sources]
     reads = [(id(n), n.id if isinstance(n, ast.Name) else n.attr)
              for tree in trees for n in ast.walk(tree)
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
              or isinstance(n, ast.Attribute)]
+    defs = [("", node) for tree in trees for node in tree.body]
+    defs += [(f"{cls.name}.", node) for tree in trees for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body]
     unread = []
-    for fn in (fn for tree in trees for fn in tree.body):
+    for owner, fn in defs:
         if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
                 and not fn.name.startswith("__")):
             own = {id(n) for n in ast.walk(fn)}
             if not any(name == fn.name and n not in own for n, name in reads):
-                unread.append(fn.name)
+                unread.append(owner + fn.name)
     return unread
 
 
@@ -72,10 +76,12 @@ def test_private_function_check_flags_an_orphan():
               'def _recursive(n):\n    return _recursive(n - 1)\n'
               'def _via_attribute():\n    pass\n'
               'def __dunder__():\n    pass\n'
-              'class C:\n    def _method(self):\n        pass\n')
+              'class C:\n    def _method(self):\n        pass\n'
+              '    def _read(self):\n        return 2\n'
+              '    def __init__(self):\n        self.x = self._read()\n')
     other = 'x = m._via_attribute\n'
-    assert unread_private_functions([source, other]) == ["_orphan",
-                                                         "_recursive"]
+    assert unread_private_functions([source, other]) == [
+        "_orphan", "_recursive", "C._method"]
 
 
 def test_every_private_function_has_a_reader():

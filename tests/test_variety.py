@@ -282,6 +282,8 @@ def test_serre_matrix_matches_twist_formula():
         expected = RatMatrix.from_rows(
             [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)])
         assert s.entries == expected.entries
+        g = gram_matrix(x)
+        assert s == g.inverse() @ g.transpose(), x.name
 
 
 def test_serre_compatibility_random_pairs():
