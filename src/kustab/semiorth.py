@@ -8,12 +8,11 @@ arguments at the lattice level.
 
 Every chi(E_i, .) is an integer row from variety._functionals: a member
 cleared to E_i = M_i / p_i has the functional F_i = M_i^T G, and chi(E_i,
-W / q) is a positive multiple of F_i . W for an integer vector W.  The
-kernel, the projection system and classify_class's residual and Serre
-eigenvalue tests are integer dot products and HNFs of these rows.  The
-residual basis is the saturated kernel in HNF, read once as lattice rows by
-_residual, so fullness_report accepts a lattice generator exactly when
-adding it leaves that HNF unchanged.
+W / q) = F_i . W / (scale p_i q) for an integer vector W.  A Collection
+builds these rows once; every call here reads them, on that variety only,
+in integer dot products and HNFs.  The residual basis is the saturated
+kernel in HNF, read once as lattice rows by _residual, so fullness_report
+accepts a lattice generator exactly when adding it leaves that HNF unchanged.
 """
 
 from __future__ import annotations
@@ -24,25 +23,31 @@ from math import factorial, lcm
 from operator import mul
 
 from .exact import DomainError, RatMatrix, _cleared, _dot, hnf_rows, int_kernel
-from .variety import (ChernVector, VarietyDesc, _functionals, _pairing_matrix,
-                      _serre_matrix, euler_pairing, from_lattice_coords,
-                      in_lattice, to_lattice_coords)
+from .variety import (ChernVector, VarietyDesc, _functionals, _pairing_scale,
+                      _serre_matrix, from_lattice_coords, in_lattice,
+                      to_lattice_coords)
 
 
 @dataclass(frozen=True)
 class Collection:
-    """An ordered tuple of classes, typically line bundles."""
+    """An ordered tuple of classes, typically line bundles; _rows holds
+    their rows (p_i, M_i, F_i) of variety._functionals, built once here."""
 
     variety: VarietyDesc
     members: tuple[ChernVector, ...]
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        for m in self.members:
-            self.variety.check_class(m)
+        object.__setattr__(self, "_rows", tuple(_functionals(self.variety, self.members)))
 
     def __len__(self):
         return len(self.members)
+
+    def _rows_on(self, x: VarietyDesc) -> tuple:
+        if x != self.variety:   # the rows pair on self.variety only
+            raise DomainError("collection on another variety")
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -64,21 +69,22 @@ class FullnessVerdict:
 
 def is_numerically_exceptional(c: Collection) -> bool:
     """chi(E_i, E_i) = 1 and chi(E_j, E_i) = 0 for j > i."""
-    g = _pairing_matrix(c.variety, c.members, c.members)
-    m = len(c)
-    return all(g[i, i] == 1 and all(g[j, i] == 0 for j in range(i + 1, m))
-               for i in range(m))
+    rows, scale = c._rows, _pairing_scale(c.variety)   # F_i . M_i = scale p_i^2
+    return all(_dot(f, m) == scale * p * p
+               and all(_dot(g, m) == 0 for _, _, g in rows[i + 1:])
+               for i, (p, m, f) in enumerate(rows))
 
 
 def _residual(x: VarietyDesc, c: Collection) -> list[list[int]]:
     # lattice coordinates of the canonical residual basis: the saturated
     # kernel, in HNF, of the members' functionals; with no members, the
     # kernel of the zero row, which is the unit rows
+    rows = c._rows_on(x)
     if not all(in_lattice(x, m) for m in c.members):
         raise DomainError("collection member not in lattice")
     steps = [lcm(*x.denoms) // d for d in x.denoms]
-    return int_kernel([list(map(mul, f, steps)) for _, _, f in
-                       _functionals(x, c.members)] or [[0] * len(steps)])
+    return int_kernel([list(map(mul, f, steps)) for _, _, f in rows]
+                      or [[0] * len(steps)])
 
 
 def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
@@ -99,18 +105,19 @@ def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
     Subtracts the unique u in span(E_1, ..., E_m) with chi(E_j, v - u) = 0
     for every j; this is the numerical shadow of the projection functor of
     the semiorthogonal decomposition.  With E_i = M_i / p_i and v = W / q it
-    is u = sum b_i M_i / q, where sum_i (F_j . M_i) b_i = F_j . W.
+    is u = sum b_i M_i / q, where sum_i (F_j . M_i) b_i = F_j . W; for b =
+    B / d, v - u = (d W - sum B_i M_i) / (d q).
     """
+    rows = c._rows_on(x)
     x.check_class(v)
-    if not c.members:
+    if not rows:
         return v
-    rows = _functionals(x, c.members)
     q, w = _cleared(v)
     gram = [[_dot(f, m) for _, m, _ in rows] for _, _, f in rows]
     rhs = [[_dot(f, w)] for _, _, f in rows]
-    b = [y for y, in RatMatrix.from_rows(gram)._divide(
-        rhs, "degenerate collection pairing")]
-    return ChernVector((wk - _dot(b, col)) / q
+    d, b = _cleared([y for y, in RatMatrix.from_rows(gram)._divide(
+        rhs, "degenerate collection pairing")])
+    return ChernVector(Fraction(d * wk - _dot(b, col), d * q)
                        for wk, col in zip(w, zip(*(m for _, m, _ in rows))))
 
 
@@ -119,7 +126,8 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
     """Matrix of the induced Serre action on the residual lattice A.
 
     In the given basis of A (by default the canonical one) it is G^-1 G^T,
-    solved from G X = G^T, G the Gram matrix chi(b_i, b_j) of the basis.
+    solved from G X = G^T, G the Gram matrix chi(b_i, b_j) of the basis
+    (in integers: for b_i = B_i / L, F_i . B_j is scale L^2 chi(b_i, b_j)).
     The inverse Serre functor of the residual category is T = P . S^-1,
     the projection after the ambient inverse Serre action; for v, w in A
     the difference P S^-1 v - S^-1 v lies in span(E), which pairs to 0
@@ -133,10 +141,13 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
         basis = right_orthogonal(x, c)
     if not basis:
         return RatMatrix.from_rows([])
-    if len(basis) + len(c) != x.dim + 1:    # the members are dependent
+    if len(basis) + len(c._rows_on(x)) != x.dim + 1:   # dependent members
         raise DomainError("degenerate collection pairing")
-    return _serre_matrix(_pairing_matrix(x, basis, basis),
-                         "degenerate collection pairing")
+    rows = _functionals(x, basis)
+    big = lcm(*(p for p, _, _ in rows))
+    return _serre_matrix(RatMatrix.from_rows(
+        [[_dot(f, w) * (big // p) * (big // q) for q, w, _ in rows]
+         for p, _, f in rows]), "degenerate collection pairing")
 
 
 def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport:
@@ -152,16 +163,16 @@ def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport
     (-1)^n sum_k V_(i-k) r^k n! / k!, r the index.  DomainError "degenerate
     collection pairing" is raised when the members' Gram is singular.
     """
+    rows = c._rows_on(x)
     x.check_class(v)
     if v.is_zero():
         raise DomainError("zero class")
     if not in_lattice(x, v):
         raise DomainError("not residual")
-    rows = _functionals(x, c.members)
-    vv = _cleared(v)[1]
+    (p, vv, fv), = _functionals(x, (v,))
     if any(_dot(f, vv) for _, _, f in rows):
         raise DomainError("not residual")
-    chi_self = euler_pairing(x, v, v)
+    chi_self = Fraction(_dot(fv, vv), _pairing_scale(x) * p * p)
     members = [m for _, m, _ in rows]
     if len(hnf_rows([[_dot(f, m) for m in members]
                      for _, _, f in rows])) < len(rows):

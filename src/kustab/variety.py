@@ -14,8 +14,8 @@ denominators, G[i][j] = scale * d * (-1)^i * t_(n-i-j) if i + j <= n, else 0,
 and chi(V/p, W/q) = V^T G W / (scale * p * q) for integer vectors V, W.
 
 Only this module reads (scale, G).  Other modules call euler_pairing,
-_pairing_matrix, _functionals (the integer rows F = V^T G of classes) and
-_chi_o_top (chi(O, H^n / lambda_n)).
+_functionals (the integer rows F = V^T G of classes), _pairing_scale (the
+scale) and _chi_o_top (chi(O, H^n / lambda_n)).
 """
 
 from __future__ import annotations
@@ -214,8 +214,12 @@ def _functionals(x: VarietyDesc, classes) -> list[tuple[int, list, list]]:
             for p, v in (_cleared(x.check_class(c)) for c in classes)]
 
 
+def _pairing_scale(x: VarietyDesc) -> int:
+    return x._form[0]
+
+
 def _pairing_matrix(x: VarietyDesc, rows, cols) -> RatMatrix:
-    # entry (i, j) = chi(rows[i], cols[j]); every pairing is computed here
+    # entry (i, j) = chi(rows[i], cols[j]) in Fractions
     scale, ws = x._form[0], [_cleared(x.check_class(c)) for c in cols]
     return RatMatrix(tuple(
         tuple(Fraction(_dot(f, w), scale * p * q) for q, w in ws)

@@ -265,7 +265,18 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     if cells > _SCAN_BUDGET:
         raise DomainError(f"scan box of {cells} lattice pairs exceeds the "
                           f"budget of {_SCAN_BUDGET}")
-    for k0 in range(-k0_hi, k0_hi + 1):
+    # row k0's k1 window is lam1 beta_0 k0 / lam0 + (0, lam1 sqrt(N) / M), so it meets
+    # [-K, K], K = k1_box, only for k0 strictly between lam0 (K, -K - lam1 sqrt(N) / M)
+    # / (lam1 beta_0); 1 / beta_0 = (p + q sqrt(N)) / r, r = 0 when beta_0 = 0
+    m, v0, v1, v2, n, s = line
+    p, q, r = (v0, 0, v1 - s) if s * s == n else (v1, 1, 2 * v2)
+    rows = range(-k0_hi, k0_hi + 1)
+    if r:
+        k, g = k1_box * m, lam0 if r > 0 else -lam0
+        lo, hi = sorted(_qfloor(g * e, g * f, abs(r) * lam1 * m, n, s, True) for e, f in
+                        ((k * p, k * q), (-k * p - lam1 * q * n, -k * q - lam1 * p)))
+        rows = range(max(lo + 1, -k0_hi), min(hi, k0_hi) + 1)
+    for k0 in rows:
         k1_lo, k1_hi = _k1_range(x.denoms, line, k0)
         for k1 in range(max(k1_lo, -k1_box), min(k1_hi, k1_box) + 1):
             for k2 in _k2_range(x.denoms, line, k0, k1):

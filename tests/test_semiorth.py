@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from kustab import semiorth, tilt, variety
+from kustab.config import variety_from_dict
 from kustab.exact import DomainError, RatMatrix, hnf_rows
 from kustab.semiorth import (ClassReport, Collection, classify_class,
                              fullness_report, is_numerically_exceptional,
                              right_orthogonal, serre_on_residual, sod_project)
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
-                            euler_pairing, exp_twist, get_preset,
-                            in_lattice, line_bundle_class, serre_inverse_class,
-                            to_lattice_coords)
+                            _pairing_matrix, euler_pairing, exp_twist,
+                            get_preset, in_lattice, line_bundle_class,
+                            serre_inverse_class, to_lattice_coords)
 
 from oracles import (classify_by_projection, hilbert_q3, rank2_model,
                      solve_upper_triangular)
@@ -23,6 +25,10 @@ Q3 = get_preset("q3")
 P4 = get_preset("p4")
 Y4 = get_preset("y4")
 Y2 = get_preset("y2")
+# the README's config variety: Q3's data under another name
+X = variety_from_dict({"name": "X", "dim": 3, "degree": 2, "index": 3,
+                       "todd": ["1", "3/2", "13/12", "1/2"],
+                       "denoms": [1, 1, 2, 12], "low_deg_H_generated": True})
 
 
 def block(x, count=None):
@@ -466,3 +472,84 @@ def test_fullness_generator_check_matches_pairing_oracle():
         assert _accepts(x, c, [g for g, ok in zip(gens, oracle) if ok])
     assert min(seen[k] for k in ((True, True), (False, True),
                                  (False, False))) >= 100, seen
+
+
+def _line_bundle_blocks():
+    # every block O(a), ..., O(a+m-1), -3 <= a <= 4, 1 <= m <= dim + 1, on
+    # every preset and the config variety
+    for x in (Q3, P4, Y4, Y2, X):
+        for a in range(-3, 5):
+            for m in range(1, x.dim + 2):
+                yield x, [line_bundle_class(x, a + i) for i in range(m)]
+
+
+def test_integer_exceptionality_matches_fraction_definition():
+    # the Fraction definition: diagonal of chi(E_i, E_j) 1, lower triangle 0
+    seen = Counter()
+    for x, mem in _line_bundle_blocks():
+        for members in (mem, mem[::-1], mem + mem[-1:], mem[:1] + mem):
+            c = Collection(variety=x, members=tuple(members))
+            g = _pairing_matrix(x, members, members)
+            want = all(g[i, i] == 1 and all(g[j, i] == 0
+                                             for j in range(i + 1, len(c)))
+                       for i in range(len(c)))
+            assert is_numerically_exceptional(c) == want, (x.name, members)
+            seen[want] += 1
+    assert min(seen[True], seen[False]) >= 50, seen
+
+
+def test_calls_refuse_a_collection_on_another_variety():
+    # X and Y4 pair with other forms than Q3 (X only by its name); a copy
+    # of Q3 that compares equal is the same variety
+    c = block(Q3)
+    for x in (X, Y4):
+        for call in (lambda: right_orthogonal(x, c),
+                     lambda: sod_project(x, c, SPINOR_CLASS),
+                     lambda: classify_class(x, c, SPINOR_CLASS),
+                     lambda: serre_on_residual(x, c),
+                     lambda: serre_on_residual(x, c, [SPINOR_CLASS]),
+                     lambda: fullness_report(x, c, [SPINOR_CLASS], True)):
+            with pytest.raises(DomainError,
+                               match="^collection on another variety$"):
+                call()
+    copy = VarietyDesc(name="Q3", dim=3, degree=2, index=3, todd=Q3.todd,
+                       denoms=Q3.denoms)
+    assert copy == Q3 and copy is not Q3
+    assert right_orthogonal(copy, c) == [SPINOR_CLASS]
+    assert classify_class(copy, c, SPINOR_CLASS).serre_eigenvalue == 1
+
+
+def test_survey_calls_never_rebuild_member_rows(monkeypatch):
+    # the calls of one residual_survey operation on prebuilt collections
+    # pass the residual basis and the classified classes to _functionals,
+    # never a member: the rows built with the Collection serve every call
+    passed = []
+
+    def recording(x, classes):
+        classes = tuple(classes)
+        passed.append(classes)
+        return real(x, classes)
+
+    real = variety._functionals
+    monkeypatch.setattr(variety, "_functionals", recording)
+    monkeypatch.setattr(semiorth, "_functionals", recording)
+    collections = [Collection(variety=x, members=tuple(mem))
+                   for x, mem in _line_bundle_blocks() if len(mem) <= x.index]
+    assert [c.members for c in collections] == passed
+    passed.clear()
+    params = tilt.TiltParams(Fraction(1, 2), Fraction(-1, 2))
+    for c in collections:
+        x = c.variety
+        is_numerically_exceptional(c)
+        basis = right_orthogonal(x, c)
+        serre_on_residual(x, c, basis)
+        for b in basis:
+            classify_class(x, c, b)
+        sod_project(x, c, ChernVector([1] * (x.dim + 1)))
+        fullness_report(x, c, basis, True)
+        if x.dim == 3:
+            tilt.alpha_range(x, c.members, params.beta)
+            tilt.blms_check(x, c.members, params)
+    members = {id(m) for c in collections for m in c.members}
+    assert len(passed) >= len(collections)
+    assert not any(id(v) in members for classes in passed for v in classes)

@@ -12,9 +12,10 @@ from kustab.tilt import (TiltParams, charge_h, charge_tilt, discriminant_h,
                          heart_case, slope_h, slope_tilt, zero_charge_class)
 from kustab.variety import (PRESETS, ChernVector, exp_twist, get_preset,
                             line_bundle_class)
-from kustab.walls import (_SCAN_BUDGET, _locus, beta_zero,
-                          first_interval_violation, nowall_certificate,
-                          wall_circle, wall_scan)
+from kustab import walls as walls_module
+from kustab.walls import (_SCAN_BUDGET, _k1_range, _k2_range, _line, _locus,
+                          beta_zero, first_interval_violation,
+                          nowall_certificate, wall_circle, wall_scan)
 
 from oracles import (beta_zero_parts, discriminant, enumerate_walls,
                      floor_a_plus_b_sqrt, sign_a_plus_b_sqrt, wall_equation,
@@ -458,3 +459,74 @@ def test_certificate_soundness():
         assert nowall_certificate(Q3, v) is not None
         for bound in ((1, 1), (4, 4), (10, 10)):
             assert wall_scan(Q3, v, *bound) == []
+
+
+def _row_by_row_scan(x, v, max_rank, max_c1):
+    """{(center, radius^2): witnesses} of every row |k0| <= max_rank lam0."""
+    line, (lam0, lam1, lam2) = _line(x, v), x.denoms[:3]
+    k0_hi, k1_box = int(max_rank * lam0), int(max_c1 * lam1)
+    found = {}
+    for k0 in range(-k0_hi, k0_hi + 1):
+        k1_lo, k1_hi = _k1_range(x.denoms, line, k0)
+        for k1 in range(max(k1_lo, -k1_box), min(k1_hi, k1_box) + 1):
+            for k2 in _k2_range(x.denoms, line, k0, k1):
+                w = ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
+                                 Fraction(k2, lam2)])
+                wc = wall_circle(x, v, w)
+                if wc.kind == "circle":
+                    found.setdefault((wc.center_beta, wc.radius_sq),
+                                     set()).add(tuple(w))
+    return found
+
+
+def test_wall_scan_rows_match_row_by_row_scan(monkeypatch):
+    # the scan visits only the c0 rows whose c1 window can meet the c1 box;
+    # boxes tall in c0 and narrow in c1, beta_0 irrational, rational with
+    # square N, zero (every row's window the same) and of both signs
+    rows = []
+
+    def counting(denoms, line, k0):
+        rows.append(k0)
+        return _k1_range(denoms, line, k0)
+
+    monkeypatch.setattr(walls_module, "_k1_range", counting)
+    rng = random.Random(6060)
+    cases = [(Q3, ChernVector(v), rank, c1)
+             for v in ([1, 1, 0], [1, -1, 0], [2, 3, 2], [1, 3, 1], [2, -1, -2],
+                       [1, 0, -1], [3, -1, Fraction(-5, 2)])
+             for rank, c1 in ((12, 0), (12, 1), (9, 3), (7, Fraction(1, 2)))]
+    cases += _random_scan_cases(rng, 6)
+    for name in ("q3", "p4", "y4", "y2"):
+        x = get_preset(name)
+        for _ in range(8):
+            v = exp_twist(ChernVector([rng.randint(1, 3), rng.randint(-3, 3),
+                                       Fraction(rng.randint(-7, 3), x.denoms[2])]),
+                          rng.randint(-3, 3))
+            if v[1] * v[1] - 2 * v[0] * v[2] > 0:
+                cases.append((x, v, rng.randint(0, 16),
+                              Fraction(rng.randint(0, 6), rng.choice((1, 2)))))
+    skipped = 0
+    for x, v, max_rank, max_c1 in cases:
+        rows.clear()
+        got = wall_scan(x, v, max_rank, max_c1)
+        k0_hi = int(max_rank * x.denoms[0])
+        assert set(rows) <= set(range(-k0_hi, k0_hi + 1))
+        skipped += 2 * k0_hi + 1 - len(rows)
+        assert {(w.center_beta, w.radius_sq): set(map(tuple, w.witnesses))
+                for w in got} == _row_by_row_scan(x, v, max_rank, max_c1), \
+            (x.name, v, max_rank, max_c1)
+    assert skipped >= 200, skipped
+
+
+def test_wall_scan_narrow_box_visits_few_rows(monkeypatch):
+    # |c0| <= 524287, c1 = 0: no row's window (-sqrt(2) k0, sqrt(2) (1 - k0))
+    # meets c1 = 0, and the k0 interval is found before the loop
+    calls = []
+
+    def counting(denoms, line, k0):
+        calls.append(k0)
+        return _k1_range(denoms, line, k0)
+
+    monkeypatch.setattr(walls_module, "_k1_range", counting)
+    assert wall_scan(Q3, IRRATIONAL, 524287, 0) == []
+    assert len(calls) <= 2, calls
