@@ -2,9 +2,9 @@
 
 Everything in this module is exact: rationals are ``fractions.Fraction``,
 real quadratic numbers a + b*sqrt(F) carry their radicand symbolically, and
-hnf_rows is the one elimination: integer kernels, span and rank tests, and
-RatMatrix.rref all read it, and RatMatrix._divide, the one linear solve,
-reads rref.  No floating point enters any decision path, and no
+hnf_rows is the one elimination: integer kernels, span and rank tests and
+_reduced read it, and rref and _solve, the one solve on int or Fraction
+rows, read _reduced.  No floating point enters any decision path, and no
 approximation is used anywhere.  The one floor of a quadratic number, for
 QuadNumber.floor and the wall scan, is _qfloor on integers.
 """
@@ -209,7 +209,7 @@ class QuadNumber:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """A dense matrix of Fractions; _divide solves every self @ X = B."""
+    """A dense matrix of Fractions; inverse and solve read _solve."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -256,19 +256,8 @@ class RatMatrix:
         return tuple(sum(a * b for a, b in zip(r, v)) for r in self.entries)
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form and the list of pivot columns.
-
-        Cleared rows span the same space over Q, so hnf_rows of them, each
-        row divided by its pivot and then cleared in the later pivot columns,
-        is the unique reduced form; zero rows are padded back at the end.
-        """
-        h = hnf_rows([_cleared(r)[1] for r in self.entries])
-        pivots = [next(j for j, x in enumerate(r) if x) for r in h]
-        m = [[Fraction(x, r[c]) for x in r] for r, c in zip(h, pivots)]
-        for i, c in enumerate(pivots):
-            for k in range(i):
-                if f := m[k][c]:
-                    m[k] = [x - f * y for x, y in zip(m[k], m[i])]
+        """Reduced row echelon form and the list of pivot columns."""
+        m, pivots = _reduced(self.entries)
         return m + [[Fraction(0)] * self.cols
                     for _ in range(self.rows - len(m))], pivots
 
@@ -279,9 +268,9 @@ class RatMatrix:
         n = self.rows
         if n != self.cols:
             raise DomainError("not square")
-        return RatMatrix.from_rows(self._divide(
-            [[Fraction(i == j) for j in range(n)] for i in range(n)],
-            "singular matrix"))
+        return RatMatrix.from_rows(_solve(
+            [[*r, *(int(i == j) for j in range(n))]
+             for i, r in enumerate(self.entries)], n, "singular matrix"))
 
     def solve(self, rhs) -> tuple[Fraction, ...]:
         """The unique x with self @ x = rhs.
@@ -289,20 +278,34 @@ class RatMatrix:
         Accepts square nonsingular systems and consistent tall systems of
         full column rank; anything else raises DomainError.
         """
-        b = [[rat(y)] for y in rhs]
+        b = [rat(y) for y in rhs]
         if len(b) != self.rows:
             raise DomainError("dimension mismatch")
-        return tuple(y for y, in self._divide(b, "no unique solution"))
+        rows = [[*r, y] for r, y in zip(self.entries, b)]
+        return tuple(y for y, in _solve(rows, self.cols, "no unique solution"))
 
-    def _divide(self, b, message: str) -> list[list[Fraction]]:
-        # rows of the unique X with self @ X = b (b by rows), read off
-        # rref([self | b]); DomainError(message) unless its pivots are self's
-        k = self.cols
-        red, pivots = RatMatrix.from_rows(
-            [[*r, *y] for r, y in zip(self.entries, b)]).rref()
-        if pivots != list(range(k)):
-            raise DomainError(message)
-        return [r[k:] for r in red[:k]]
+
+def _reduced(rows) -> tuple[list[list[Fraction]], list[int]]:
+    # nonzero rows of the reduced row echelon form of int or Fraction rows,
+    # and their pivots: hnf_rows of the cleared rows (same span over Q), each
+    # row divided by its pivot and cleared in the later pivot columns
+    h = hnf_rows([_cleared(r)[1] for r in rows])
+    pivots = [next(j for j, x in enumerate(r) if x) for r in h]
+    m = [[Fraction(x, r[c]) for x in r] for r, c in zip(h, pivots)]
+    for i, c in enumerate(pivots):
+        for k in range(i):
+            if f := m[k][c]:
+                m[k] = [x - f * y for x, y in zip(m[k], m[i])]
+    return m, pivots
+
+
+def _solve(rows, k: int, message: str) -> list[list[Fraction]]:
+    # rows of the unique X with A X = B from the rows of [A | B], A the first
+    # k columns; DomainError(message) unless A's columns are the pivots
+    red, pivots = _reduced(rows)
+    if pivots != list(range(k)):
+        raise DomainError(message)
+    return [r[k:] for r in red]
 
 
 def _qfloor(a: int, b: int, c: int, n: int, s: int, strict: bool) -> int:

@@ -13,6 +13,8 @@ builds these rows once; every call here reads them, on that variety only,
 in integer dot products and HNFs.  The residual basis is the saturated
 kernel in HNF, read once as lattice rows by _residual, so fullness_report
 accepts a lattice generator exactly when adding it leaves that HNF unchanged.
+The projection along span(E) is _project, one exact solve of the members'
+integer Gram; sod_project and classify_class both read it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
 
-from .exact import DomainError, RatMatrix, _cleared, _dot, hnf_rows, int_kernel
+from .exact import (DomainError, RatMatrix, _cleared, _dot, _solve, hnf_rows,
+                    int_kernel)
 from .variety import (ChernVector, VarietyDesc, _functionals, _pairing_scale,
                       _serre_matrix, from_lattice_coords, in_lattice,
                       to_lattice_coords)
@@ -99,26 +102,30 @@ def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
     return [from_lattice_coords(x, k) for k in _residual(x, c)]
 
 
+def _project(rows, w: list[int]) -> tuple[int, list[int]]:
+    # (d, d W - sum B_i M_i), b = B / d solving sum_i (F_j . M_i) b_i = F_j . W
+    # for the member rows (p_i, M_i, F_i): d times W projected along span(M)
+    if not rows:
+        return 1, list(w)
+    d, b = _cleared([y for y, in _solve(
+        [[*(_dot(f, m) for _, m, _ in rows), _dot(f, w)] for _, _, f in rows],
+        len(rows), "degenerate collection pairing")])
+    return d, [d * wk - _dot(b, col)
+               for wk, col in zip(w, zip(*(m for _, m, _ in rows)))]
+
+
 def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
     """Project v onto the residual lattice along the span of the collection.
 
     Subtracts the unique u in span(E_1, ..., E_m) with chi(E_j, v - u) = 0
-    for every j; this is the numerical shadow of the projection functor of
-    the semiorthogonal decomposition.  With E_i = M_i / p_i and v = W / q it
-    is u = sum b_i M_i / q, where sum_i (F_j . M_i) b_i = F_j . W; for b =
-    B / d, v - u = (d W - sum B_i M_i) / (d q).
+    for every j, the numerical shadow of the projection functor of the
+    semiorthogonal decomposition: v - u is _project of v = W / q over d q.
     """
     rows = c._rows_on(x)
     x.check_class(v)
-    if not rows:
-        return v
     q, w = _cleared(v)
-    gram = [[_dot(f, m) for _, m, _ in rows] for _, _, f in rows]
-    rhs = [[_dot(f, w)] for _, _, f in rows]
-    d, b = _cleared([y for y, in RatMatrix.from_rows(gram)._divide(
-        rhs, "degenerate collection pairing")])
-    return ChernVector(Fraction(d * wk - _dot(b, col), d * q)
-                       for wk, col in zip(w, zip(*(m for _, m, _ in rows))))
+    d, u = _project(rows, w)
+    return ChernVector(Fraction(y, d * q) for y in u)
 
 
 def serre_on_residual(x: VarietyDesc, c: Collection,
@@ -145,23 +152,21 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
         raise DomainError("degenerate collection pairing")
     rows = _functionals(x, basis)
     big = lcm(*(p for p, _, _ in rows))
-    return _serre_matrix(RatMatrix.from_rows(
-        [[_dot(f, w) * (big // p) * (big // q) for q, w, _ in rows]
-         for p, _, f in rows]), "degenerate collection pairing")
+    return _serre_matrix([[_dot(f, w) * (big // p) * (big // q)
+                           for q, w, _ in rows] for p, _, f in rows],
+                         "degenerate collection pairing")
 
 
 def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport:
     """Self-pairing, Serre eigenvalue and labels of a residual class.
 
     The eigenvalue is e (+1 or -1) when the induced inverse Serre action
-    P . S^-1 maps v to e v, P being the projection along span(E).  This is
-    tested by span membership: P is a projection with kernel span_Q(E) that
-    fixes the residual v, so P(u) = e v for u = S^-1 v exactly when u - e v
-    lies in span_Q(E).  The members are independent, so that holds when the
-    integer row n! p (u - e v) leaves the rank of the cleared members
-    M_1, ..., M_m unchanged; for v = V / p, n! p u has the integer entries
-    (-1)^n sum_k V_(i-k) r^k n! / k!, r the index.  DomainError "degenerate
-    collection pairing" is raised when the members' Gram is singular.
+    P . S^-1 maps v to e v, P being the projection along span(E).  For
+    v = V / p the vector n! p S^-1 v has the integer entries
+    (-1)^n sum_k V_(i-k) r^k n! / k!, r the index; _project of it gives d
+    and d n! p P(S^-1 v), which is e d n! V exactly when e is the
+    eigenvalue.  DomainError "degenerate collection pairing" is raised by
+    that solve when the members' Gram is singular.
     """
     rows = c._rows_on(x)
     x.check_class(v)
@@ -173,20 +178,12 @@ def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport
     if any(_dot(f, vv) for _, _, f in rows):
         raise DomainError("not residual")
     chi_self = Fraction(_dot(fv, vv), _pairing_scale(x) * p * p)
-    members = [m for _, m, _ in rows]
-    if len(hnf_rows([[_dot(f, m) for m in members]
-                     for _, _, f in rows])) < len(rows):
-        raise DomainError("degenerate collection pairing")
     n, big = x.dim, factorial(x.dim)
-    twist = [x.index ** k * (big // factorial(k)) for k in range(n + 1)]
-    u = [(-1) ** n * sum(vv[i - k] * twist[k] for k in range(i + 1))
-         for i in range(n + 1)]
-    eigen: int | None = None
-    for e in (1, -1):
-        w = [a - e * big * b for a, b in zip(u, vv)]     # n! p (u - e v)
-        if len(hnf_rows([*members, w])) == len(members):
-            eigen = e
-            break
+    twist = [(-1) ** n * x.index ** k * (big // factorial(k))
+             for k in range(n + 1)]
+    d, pu = _project(rows, [_dot(vv[i::-1], twist) for i in range(n + 1)])
+    eigen = next((e for e in (1, -1)
+                  if pu == [e * d * big * y for y in vv]), None)
     labels = []
     if chi_self == 1:
         labels.append("numerically-exceptional")

@@ -34,10 +34,11 @@ def _sqrt_trunc(q: Fraction) -> Fraction:
 def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
     """Render walls as an SVG document.
 
-    viewport maps beta_min, beta_max, alpha_max to rationals.  Circles
-    become upper semicircular paths with their witnesses in title elements;
-    vertical-line walls become segments.  DomainError is raised when the
-    viewport holds more than _TICK_BUDGET integer beta ticks.
+    viewport maps beta_min, beta_max, alpha_max to rationals.  Every wall
+    must be a circle, as wall_scan returns; it becomes an upper semicircular
+    path with its witnesses in a title element.  DomainError is raised for
+    a wall of another kind and when the viewport holds more than
+    _TICK_BUDGET integer beta ticks.
     """
     beta_min = rat(viewport["beta_min"])
     beta_max = rat(viewport["beta_max"])
@@ -73,20 +74,15 @@ def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
     lines += [f'<text class="tick" x="{px(Fraction(b))}" y="{tick_y}" '
               f'font-size="12" text-anchor="middle">{b}</text>' for b in range(first, first + count)]
     for c in circles:
+        if c.kind != "circle":
+            raise DomainError(f"cannot draw a {c.kind} wall")
         title = "; ".join(w.text() for w in c.witnesses)
-        if c.kind == "circle":
-            r = _sqrt_trunc(c.radius_sq)
-            lines.append(
-                f'<path class="wall" d="M {px(c.center_beta - r)} '
-                f'{py(Fraction(0))} A {_trunc6(r * SCALE)} '
-                f'{_trunc6(r * SCALE)} 0 0 1 {px(c.center_beta + r)} '
-                f'{py(Fraction(0))}" fill="none" stroke="crimson">'
-                f'<title>{title}</title></path>')
-        elif c.kind == "vertical-line":
-            lines.append(
-                f'<line class="wall" x1="{px(c.line_beta)}" '
-                f'y1="{py(Fraction(0))}" x2="{px(c.line_beta)}" '
-                f'y2="{py(alpha_max)}" stroke="crimson">'
-                f'<title>{title}</title></line>')
+        r = _sqrt_trunc(c.radius_sq)
+        lines.append(
+            f'<path class="wall" d="M {px(c.center_beta - r)} '
+            f'{py(Fraction(0))} A {_trunc6(r * SCALE)} '
+            f'{_trunc6(r * SCALE)} 0 0 1 {px(c.center_beta + r)} '
+            f'{py(Fraction(0))}" fill="none" stroke="crimson">'
+            f'<title>{title}</title></path>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .exact import DomainError, RatMatrix, _cleared, _dot, rat
+from .exact import DomainError, RatMatrix, _cleared, _dot, _solve, rat
 
 
 class ChernVector:
@@ -232,10 +232,11 @@ def _chi_o_top(x: VarietyDesc) -> Fraction:
     return Fraction(g[0][x.dim], scale * x.denoms[x.dim])
 
 
-def _serre_matrix(g: RatMatrix, message: str) -> RatMatrix:
-    # S with chi(v, S w) = chi(w, v) on the basis whose pairing matrix is g:
-    # the solution of g S = g^T, or DomainError(message) when g is singular
-    return RatMatrix.from_rows(g._divide(zip(*g.entries), message))
+def _serre_matrix(g, message: str) -> RatMatrix:
+    # S with g S = g^T, so chi(v, S w) = chi(w, v) on a basis whose pairing
+    # matrix is a multiple of the rows g; DomainError(message) if g is singular
+    return RatMatrix.from_rows(_solve(
+        [[*r, *col] for r, col in zip(g, zip(*g))], len(g), message))
 
 
 def serre_class(x: VarietyDesc, v: ChernVector) -> ChernVector:
@@ -252,11 +253,12 @@ def serre_inverse_class(x: VarietyDesc, v: ChernVector) -> ChernVector:
 def serre_numeric(x: VarietyDesc) -> RatMatrix:
     """Matrix S with chi(v, S w) = chi(w, v), the solution of G S = G^T.
 
-    Equals the matrix of v -> (-1)^n exp_twist(v, -index) on the basis
+    G is the integer form, a multiple of the Gram matrix with the same S.
+    S equals the matrix of v -> (-1)^n exp_twist(v, -index) on the basis
     {1, H, ..., H^n}; the two constructions agreeing is a standing
     consistency check in the test suite.
     """
-    return _serre_matrix(gram_matrix(x), "degenerate pairing")
+    return _serre_matrix(x._form[1], "degenerate pairing")
 
 
 def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:

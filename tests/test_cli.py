@@ -358,6 +358,12 @@ def test_render_walls_svg_unit():
     assert one.count(b"<path") == 1
     assert render_walls_svg([], {"beta_min": -2, "beta_max": 2,
                                  "alpha_max": 2}) == empty
+    # only circles are drawn; any other kind is refused, not skipped
+    for wall in (WallCircle(kind="vertical-line", line_beta=Fraction(0)),
+                 WallCircle(kind="empty"), WallCircle(kind="degenerate")):
+        with pytest.raises(DomainError, match=f"^cannot draw a {wall.kind} wall$"):
+            render_walls_svg([wall], {"beta_min": -2, "beta_max": 2,
+                                      "alpha_max": 2})
 
 
 def test_svg_tick_budget(capsys):

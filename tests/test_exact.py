@@ -9,8 +9,8 @@ from operator import mul
 
 import pytest
 
-from kustab.exact import (DomainError, QuadNumber, RatMatrix, hnf_rows,
-                          int_kernel)
+from kustab.exact import (DomainError, QuadNumber, RatMatrix, _cleared,
+                          _solve, hnf_rows, int_kernel)
 from kustab.svg import _sqrt_trunc
 from kustab.tilt import AlphaInterval
 
@@ -321,10 +321,11 @@ def test_rref_rank_inverse_solve_match_oracles():
             assert m.solve(m.apply(x)) == x, rows
 
 
-def test_divide_matches_inverse_and_oracle():
-    # square, singular and tall systems self @ X = B: a square X is
-    # inverse() @ B and solve_square per column, a tall X solves the system
-    # of full column rank, and anything else raises the caller's message
+def test_solve_matches_inverse_and_oracle():
+    # square, singular and tall systems A X = B given as the rows of [A | B],
+    # in Fractions and cleared to integer rows: a square X is inverse() @ B
+    # and solve_square per column, a tall X solves the system of full column
+    # rank, and anything else raises the caller's message
     rng = random.Random(19)
     seen = Counter()
     for _ in range(600):
@@ -344,18 +345,22 @@ def test_divide_matches_inverse_and_oracle():
             b = [list(r) for r in (m @ RatMatrix.from_rows(
                 [[rng.randint(-5, 5) for _ in range(k)]
                  for _ in range(n)])).entries]
-        unique = row_reduce_rank(rows) == n == row_reduce_rank(
-            [[*r, *y] for r, y in zip(rows, b)])
+        aug = [[*r, *y] for r, y in zip(rows, b)]
+        ints = [_cleared(r)[1] for r in aug]     # each row times its lcm
+        assert all(type(e) is int for r in ints for e in r)
+        unique = row_reduce_rank(rows) == n == row_reduce_rank(aug)
         if not unique:
-            with pytest.raises(DomainError, match="^caller message$"):
-                m._divide(b, "caller message")
+            for system in (aug, ints):
+                with pytest.raises(DomainError, match="^caller message$"):
+                    _solve(system, n, "caller message")
             if not tall:
                 assert solve_square(rows, [r[0] for r in b]) is None, rows
                 with pytest.raises(DomainError, match="singular matrix"):
                     m.inverse()
             seen["tall, not unique" if tall else "singular"] += 1
             continue
-        got = m._divide(b, "caller message")
+        got = _solve(aug, n, "caller message")
+        assert _solve(ints, n, "caller message") == got, rows
         assert len(got) == n and all(len(r) == k for r in got), rows
         assert (m @ RatMatrix.from_rows(got)).entries == tuple(
             map(tuple, b)), rows

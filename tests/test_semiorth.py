@@ -553,3 +553,36 @@ def test_survey_calls_never_rebuild_member_rows(monkeypatch):
     members = {id(m) for c in collections for m in c.members}
     assert len(passed) >= len(collections)
     assert not any(id(v) in members for classes in passed for v in classes)
+
+
+def test_classify_class_makes_one_solve(monkeypatch):
+    # the eigenvalue and the degenerate-pairing error both come from the one
+    # projection solve of the members' Gram: one _solve call per classified
+    # class, none without members, and a singular Gram raises inside it
+    calls = []
+
+    def recording(rows, k, message):
+        calls.append(k)
+        try:
+            return real(rows, k, message)
+        except DomainError as exc:
+            calls.append(str(exc))
+            raise
+
+    real = semiorth._solve
+    monkeypatch.setattr(semiorth, "_solve", recording)
+    for x in (Q3, Y4, Y2):
+        c = block(x)
+        for v in right_orthogonal(x, c):
+            calls.clear()
+            classify_class(x, c, v)
+            assert calls == [len(c)], (x.name, v)
+    calls.clear()
+    report = classify_class(Q3, Collection(variety=Q3, members=()),
+                            SPINOR_CLASS)
+    assert report.chi_self == 1 and calls == []
+    dup = Collection(variety=Q3, members=(line_bundle_class(Q3, 0),
+                                          line_bundle_class(Q3, 0)))
+    with pytest.raises(DomainError, match="^degenerate collection pairing$"):
+        classify_class(Q3, dup, SPINOR_CLASS)
+    assert calls == [2, "degenerate collection pairing"]

@@ -1,14 +1,17 @@
 """Charges, slopes, discriminant, heart membership, induced stability."""
 
 import dataclasses
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kustab.exact import DomainError, QuadNumber
 from kustab.config import variety_from_dict
+from kustab.semiorth import Collection
 from kustab.tilt import (TiltParams, _zero_charge_pairing, alpha_range,
                          blms_check, charge_h, charge_tilt, discriminant_h,
                          heart_case, slope_h, slope_tilt, zero_charge_class)
@@ -388,6 +391,33 @@ def test_alpha_range_q3():
     iv = ivs[0]
     assert iv.lo == QuadNumber(0) and iv.lo_open
     assert iv.hi == Fraction(1, 2) and iv.hi_open
+
+
+def test_blms_check_and_alpha_range_take_a_collection():
+    # a Collection is read as its members, as the README passes it
+    for x in (Q3, Y4, X):
+        c = Collection(variety=x, members=members(x))
+        assert blms_check(x, c, STD) == blms_check(x, c.members, STD)
+        for beta in (Fraction(-3, 4), Fraction(-1, 2), Fraction(0)):
+            assert alpha_range(x, c, beta) == alpha_range(x, c.members, beta)
+
+
+def test_readme_library_snippet():
+    # the README's library example, run line by line: each commented line
+    # evaluates to its comment (a str value shown in double quotes)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    env, checked = {}, 0
+    for line in block.split("```", 1)[0].splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, env)
+            continue
+        value = eval(code, env)
+        shown = json.dumps(value) if isinstance(value, str) else str(value)
+        assert shown == comment.strip(), code
+        checked += 1
+    assert checked == 4
 
 
 def test_alpha_range_q3_beta_zero_empty():
