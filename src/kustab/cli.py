@@ -204,14 +204,12 @@ def _nowall(args, x):
     v = parse_class(args.target, x, truncated=True)
     bz = walls.beta_zero(x, v)
     cert = walls.nowall_certificate(x, v)
-    if cert is not None:
-        return {"target": v, "certificate": True,
-                "beta0": bz.beta0, "interval": f"(0, {bz.bound})",
-                "step": cert.lattice_step,
-                "conclusion": cert.conclusion}, []
-    violation = walls.first_interval_violation(x, v)
-    payload = {"target": v, "certificate": False, "beta0": bz.beta0,
+    payload = {"target": v, "certificate": cert is not None, "beta0": bz.beta0,
                "interval": f"(0, {bz.bound})"}
+    if cert is not None:
+        payload.update(step=cert.lattice_step, conclusion=cert.conclusion)
+        return payload, []
+    violation = walls.first_interval_violation(x, v)
     if violation is not None:
         c0w, c1w, value = violation
         payload["violation"] = {"c0": c0w, "c1": c1w, "value": value}

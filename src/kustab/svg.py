@@ -9,9 +9,9 @@ all decisions have been made exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
-from .exact import DomainError, QuadNumber, rat
+from .exact import DomainError, _qfloor, rat
 from .walls import WallCircle
 
 SCALE = 100          # pixels per unit
@@ -27,8 +27,9 @@ def _trunc6(q: Fraction) -> str:
 
 
 def _sqrt_trunc(q: Fraction) -> Fraction:
-    """floor(sqrt(q) * 10^6) / 10^6, exactly."""
-    return Fraction(QuadNumber(0, 10 ** 6, q).floor(), 10 ** 6)
+    """floor(sqrt(q) * 10^6) / 10^6, exactly: 10^6 sqrt(n d) / d for q = n / d."""
+    nd = q.numerator * q.denominator
+    return Fraction(_qfloor(0, 10 ** 6, q.denominator, nd, isqrt(nd), False), 10 ** 6)
 
 
 def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:

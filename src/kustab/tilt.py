@@ -62,9 +62,6 @@ class Charge:
     def __add__(self, other: "Charge") -> "Charge":
         return Charge(self.re + other.re, self.im + other.im)
 
-    def __neg__(self) -> "Charge":
-        return Charge(-self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

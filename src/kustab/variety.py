@@ -189,7 +189,9 @@ def exp_twist(v: ChernVector, gamma) -> ChernVector:
 
 def euler_pairing(x: VarietyDesc, v: ChernVector, w: ChernVector) -> Fraction:
     """chi(v, w) via Riemann-Roch."""
-    return _pairing_matrix(x, (v,), (w,)).entries[0][0]
+    (p, _, f), = _functionals(x, (v,))
+    q, ws = _cleared(x.check_class(w))
+    return Fraction(_dot(f, ws), x._form[0] * p * q)
 
 
 def gram_matrix(x: VarietyDesc, convention: str = "chi") -> RatMatrix:
@@ -216,14 +218,6 @@ def _functionals(x: VarietyDesc, classes) -> list[tuple[int, list, list]]:
 
 def _pairing_scale(x: VarietyDesc) -> int:
     return x._form[0]
-
-
-def _pairing_matrix(x: VarietyDesc, rows, cols) -> RatMatrix:
-    # entry (i, j) = chi(rows[i], cols[j]) in Fractions
-    scale, ws = x._form[0], [_cleared(x.check_class(c)) for c in cols]
-    return RatMatrix(tuple(
-        tuple(Fraction(_dot(f, w), scale * p * q) for q, w in ws)
-        for p, _, f in _functionals(x, rows)))
 
 
 def _chi_o_top(x: VarietyDesc) -> Fraction:

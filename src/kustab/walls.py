@@ -25,11 +25,12 @@ beta_0 = (V_1 - sqrt(N))/V_0 and bound / degree = sqrt(N) / M (_line).  For
 w = (k_0/lam_0, k_1/lam_1, k_2/lam_2) each bound above, scaled to k_1 or
 k_2, is one floor of (A + B sqrt(N)) / C with integers A, B, C, taken by
 exact._qfloor, or a plain division for the B = 0 of the two discriminants.
-_locus gives the wall of v and w as integers (C0, C1, C2) from integer
-truncations; wall_scan takes v's once from _line, deduplicates on the
-primitive triple (C0, C1, C2) / g and builds Fractions once per distinct
-circle.  A scan box (2 floor(max_rank lam_0) + 1)(2 floor(max_c1 lam_1) + 1)
-of more than _SCAN_BUDGET lattice pairs is refused with DomainError.
+The certificate and the violation search read _line too; beta_zero only
+builds the QuadNumbers it returns.  _locus gives the wall of v and w as
+integers (C0, C1, C2) from integer truncations; wall_scan takes v's once
+from _line, deduplicates on the primitive triple (C0, C1, C2) / g and
+builds Fractions once per distinct circle.  A scan box of more than
+_SCAN_BUDGET lattice pairs (k0, k1) is refused with DomainError.
 """
 
 from __future__ import annotations
@@ -84,9 +85,8 @@ def beta_zero(x: VarietyDesc, v: ChernVector) -> BetaZero:
     """
     m, v0, v1, _, n, _ = _line(x, v)
     f = Fraction(n, v0 * v0)
-    sqrt_f = QuadNumber(0, 1, f)
-    return BetaZero(F=f, beta0=QuadNumber(Fraction(v1, v0)) - sqrt_f,
-                    bound=sqrt_f * Fraction(v0 * x.degree, m))
+    return BetaZero(F=f, beta0=QuadNumber(Fraction(v1, v0), -1, f),
+                    bound=QuadNumber(0, Fraction(v0 * x.degree, m), f))
 
 
 def _line(x: VarietyDesc, v: ChernVector) -> tuple[int, ...]:
@@ -105,25 +105,25 @@ def _line(x: VarietyDesc, v: ChernVector) -> tuple[int, ...]:
 def nowall_certificate(x: VarietyDesc, v: ChernVector) -> NoWallCertificate | None:
     """Certificate that no lattice class destabilizes along the beta_0 line.
 
-    When beta_0 is rational the values ch_1^{beta_0}(w) H^{n-1} over lattice
-    pairs (c0, c1) form the discrete group of multiples of a step computed
-    by a gcd; the certificate holds exactly when the step is at least the
-    bound, so the open interval (0, bound) contains no value.  When beta_0
-    is irrational the value set meets every open interval (the radical part
-    equidistributes), so no certificate exists and None is returned.
+    Decided on _line: beta_0 is rational exactly when N = s^2, s = isqrt(N),
+    and then beta_0 = (V1 - s) / V0, bound = s d / M, and the values
+    ch_1^{beta_0}(w) H^{n-1} over lattice pairs (c0, c1) are the multiples
+    of a step computed by a gcd.  The certificate holds, and beta_zero is
+    called for its values, exactly when the step is at least the bound.
+    When beta_0 is irrational the value set meets every open interval (the
+    radical part equidistributes), so None is returned.
     """
-    bz = beta_zero(x, v)
-    if not bz.beta0.is_rational:
+    m, v0, v1, _, n, s = _line(x, v)
+    if s * s != n:
         return None
-    b0 = bz.beta0.rational_value()
+    b0 = Fraction(v1 - s, v0)
     p, q = b0.numerator, b0.denominator
     lam0, lam1 = x.denoms[0], x.denoms[1]
-    num_gcd = gcd(q * lam0, abs(p) * lam1)
-    step = x.degree * Fraction(num_gcd, q * lam0 * lam1)
-    bound = bz.bound.rational_value()
+    step = x.degree * Fraction(gcd(q * lam0, abs(p) * lam1), q * lam0 * lam1)
+    bound = Fraction(s * x.degree, m)
     if step >= bound:
         return NoWallCertificate(
-            beta0=bz, lattice_step=step,
+            beta0=beta_zero(x, v), lattice_step=step,
             conclusion=(f"values of ch_1^(beta_0) H^(n-1) on lattice classes "
                         f"are the multiples of {step}; none lies in the open "
                         f"interval (0, {bound})"))
@@ -134,20 +134,19 @@ def first_interval_violation(x: VarietyDesc, v: ChernVector):
     """A lattice pair (c0, c1) whose beta_0 value falls in (0, bound), if any.
 
     Used to report why a certificate does not exist.  Searches the rows
-    |c0| <= _VIOLATION_RANK in the order 0, 1, -1, 2, -2, ... and returns
-    (c0, c1, value) or None when it finds nothing.
+    |c0| <= _VIOLATION_RANK in the order 0, 1, -1, 2, -2, ... on one _line
+    and returns (c0, c1, value) or None when it finds nothing.
     """
-    line = _line(x, v)
-    lam0, lam1 = x.denoms[0], x.denoms[1]
-    order = [0]
-    for k in range(1, _VIOLATION_RANK * lam0 + 1):
-        order.extend([k, -k])
-    for k0 in order:
+    _, v0, v1, _, n, _ = line = _line(x, v)
+    lam0, lam1, d = x.denoms[0], x.denoms[1], x.degree
+    k0_hi = _VIOLATION_RANK * lam0
+    for k0 in sorted(range(-k0_hi, k0_hi + 1), key=lambda k: (abs(k), k < 0)):
         k1, k1_max = _k1_range(x.denoms, line, k0)
         if k1 <= k1_max:
             c0w, c1w = Fraction(k0, lam0), Fraction(k1, lam1)
-            value = (QuadNumber(c1w) - beta_zero(x, v).beta0 * c0w) * x.degree
-            return c0w, c1w, value
+            # d (c1 - c0 beta_0) = d (c1 - c0 V1 / V0) + d c0 sqrt(N / V0^2)
+            return c0w, c1w, QuadNumber(d * (c1w - c0w * Fraction(v1, v0)),
+                                        d * c0w, Fraction(n, v0 * v0))
     return None
 
 
@@ -243,13 +242,13 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
     Enumerates lattice pairs (c0, c1) with |c0| <= max_rank, |c1| <= max_c1
     passing the open interval criterion at beta_0, and for each the finite
     range of c2 allowed by Delta_H(w) >= 0, Delta_H(v - w) >= 0 and the
-    requirement that the wall cross the beta_0 line at alpha > 0.  Circles
-    are deduplicated on the primitive integer triple (C0, C1, C2) / g with
-    C0 > 0, which determines (center, radius^2), with witnesses aggregated;
-    Fractions are built once per distinct circle, and the circles are
-    sorted by center then radius.  An empty result is consistent with a
-    no-wall certificate; a nonempty one lists candidates, not proven walls.
-    DomainError is raised when the box of pairs exceeds _SCAN_BUDGET.
+    requirement that the wall cross the beta_0 line at alpha > 0, so every
+    candidate's wall is a circle.  Circles are deduplicated on the primitive
+    triple (C0, C1, C2) / g with C0 > 0, which determines (center, radius^2),
+    with witnesses aggregated; Fractions are built once per distinct circle,
+    and the circles are sorted by center then radius.  An empty result is
+    consistent with a no-wall certificate; a nonempty one lists candidates,
+    not proven walls.  DomainError is raised when the box exceeds _SCAN_BUDGET.
     """
     line = _line(x, v)
     max_rank, max_c1 = rat(max_rank), rat(max_c1)
@@ -280,11 +279,11 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
         k1_lo, k1_hi = _k1_range(x.denoms, line, k0)
         for k1 in range(max(k1_lo, -k1_box), min(k1_hi, k1_box) + 1):
             for k2 in _k2_range(x.denoms, line, k0, k1):
-                kind, c0, c1, c2 = _locus(a, (k0 * s0, k1 * s1, k2 * s2))
-                if kind == "circle":
-                    g = gcd(c0, c1, c2) if c0 > 0 else -gcd(c0, c1, c2)
-                    key = (c0 // g, c1 // g, c2 // g)
-                    walls.setdefault(key, []).append((k0, k1, k2))
+                # a circle: direction != 0 gives C0 != 0, the strict crossing C1^2 > 4 C0 C2
+                _, c0, c1, c2 = _locus(a, (k0 * s0, k1 * s1, k2 * s2))
+                g = gcd(c0, c1, c2) if c0 > 0 else -gcd(c0, c1, c2)
+                key = (c0 // g, c1 // g, c2 // g)
+                walls.setdefault(key, []).append((k0, k1, k2))
     out = []
     for key, ks in walls.items():
         # every lam_i > 0: the order of the integer (k0, k1, k2) is that of w.coeffs

@@ -14,9 +14,9 @@ from kustab.semiorth import (ClassReport, Collection, classify_class,
                              fullness_report, is_numerically_exceptional,
                              right_orthogonal, serre_on_residual, sod_project)
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
-                            _pairing_matrix, euler_pairing, exp_twist,
-                            get_preset, in_lattice, line_bundle_class,
-                            serre_inverse_class, to_lattice_coords)
+                            euler_pairing, exp_twist, get_preset, in_lattice,
+                            line_bundle_class, serre_inverse_class,
+                            to_lattice_coords)
 
 from oracles import (classify_by_projection, hilbert_q3, rank2_model,
                      solve_upper_triangular)
@@ -489,9 +489,11 @@ def test_integer_exceptionality_matches_fraction_definition():
     for x, mem in _line_bundle_blocks():
         for members in (mem, mem[::-1], mem + mem[-1:], mem[:1] + mem):
             c = Collection(variety=x, members=tuple(members))
-            g = _pairing_matrix(x, members, members)
-            want = all(g[i, i] == 1 and all(g[j, i] == 0
-                                             for j in range(i + 1, len(c)))
+            def chi(i, j):
+                return euler_pairing(x, members[i], members[j])
+
+            want = all(chi(i, i) == 1 and all(chi(j, i) == 0
+                                              for j in range(i + 1, len(c)))
                        for i in range(len(c)))
             assert is_numerically_exceptional(c) == want, (x.name, members)
             seen[want] += 1

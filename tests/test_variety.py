@@ -10,10 +10,9 @@ import pytest
 
 from kustab.exact import DomainError, RatMatrix
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
-                            _pairing_matrix, euler_pairing, exp_twist,
-                            get_preset, gram_matrix, in_lattice,
-                            line_bundle_class, serre_class,
-                            serre_inverse_class, serre_numeric)
+                            euler_pairing, exp_twist, get_preset,
+                            gram_matrix, in_lattice, line_bundle_class,
+                            serre_class, serre_inverse_class, serre_numeric)
 
 from oracles import (chern_y2, chern_y4, euler_closed_sum, hilbert_p4,
                      hilbert_q3, series_mul, todd_from_chern_3fold, todd_p4)
@@ -135,8 +134,7 @@ def test_euler_pairing_matches_series_oracle():
 
 
 def test_pairings_match_closed_sum_oracle():
-    # euler_pairing, every entry of _pairing_matrix (square, tall, wide and
-    # empty shapes) and gram_matrix against the term-by-term Todd sum
+    # euler_pairing and gram_matrix against the term-by-term Todd sum
     rng = random.Random(2024)
     for x in _oracle_varieties():
         n = x.dim
@@ -148,15 +146,6 @@ def test_pairings_match_closed_sum_oracle():
             v, w = (_random_rational_class(rng, n) for _ in range(2))
             got = euler_pairing(x, v, w)
             assert type(got) is Fraction and got == chi(v, w), (x.name, v, w)
-        for r, c in ((1, 1), (3, 3), (4, 1), (1, 4), (2, 5), (0, 3), (3, 0)):
-            rows = [_random_rational_class(rng, n) for _ in range(r)]
-            cols = [_random_rational_class(rng, n) for _ in range(c)]
-            m = _pairing_matrix(x, rows, cols)
-            assert m.rows == r and (r == 0 or m.cols == c)
-            for i, v in enumerate(rows):
-                for j, w in enumerate(cols):
-                    assert type(m[i, j]) is Fraction
-                    assert m[i, j] == chi(v, w), (x.name, i, j)
         basis = [[Fraction(i == k) for i in range(n + 1)] for k in range(n + 1)]
         chi_gram, paper = gram_matrix(x, "chi"), gram_matrix(x, "paper")
         for i, ei in enumerate(basis):
@@ -169,8 +158,7 @@ def test_pairing_wrong_arity_message():
     short, full = ChernVector([1, 0, 0]), SPINOR_CLASS
     for call in (lambda: euler_pairing(Q3, short, full),
                  lambda: euler_pairing(Q3, full, short),
-                 lambda: _pairing_matrix(Q3, [full, short], [full]),
-                 lambda: _pairing_matrix(Q3, [full], [full, short])):
+                 lambda: euler_pairing(Q3, short, short)):
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == "wrong arity: Q3 needs 4 coefficients"

@@ -7,15 +7,17 @@ from math import isqrt
 
 import pytest
 
+from kustab.config import variety_from_dict
 from kustab.exact import DomainError, QuadNumber, _qfloor, is_square
 from kustab.tilt import (TiltParams, charge_h, charge_tilt, discriminant_h,
                          heart_case, slope_h, slope_tilt, zero_charge_class)
-from kustab.variety import (PRESETS, ChernVector, exp_twist, get_preset,
-                            line_bundle_class)
+from kustab.variety import (PRESETS, ChernVector, VarietyDesc, exp_twist,
+                            get_preset, line_bundle_class)
 from kustab import walls as walls_module
-from kustab.walls import (_SCAN_BUDGET, _k1_range, _k2_range, _line, _locus,
-                          beta_zero, first_interval_violation,
-                          nowall_certificate, wall_circle, wall_scan)
+from kustab.walls import (_SCAN_BUDGET, _VIOLATION_RANK, BetaZero, _k1_range,
+                          _k2_range, _line, _locus, beta_zero,
+                          first_interval_violation, nowall_certificate,
+                          wall_circle, wall_scan)
 
 from oracles import (beta_zero_parts, discriminant, enumerate_walls,
                      floor_a_plus_b_sqrt, sign_a_plus_b_sqrt, wall_equation,
@@ -24,6 +26,18 @@ from oracles import (beta_zero_parts, discriminant, enumerate_walls,
 Q3 = get_preset("q3")
 SPINOR_TRUNC = ChernVector([2, -1, 0])
 IRRATIONAL = ChernVector([1, 0, -1])
+# the README's config variety: Q3's data under another name
+X = variety_from_dict({"name": "X", "dim": 3, "degree": 2, "index": 3,
+                       "todd": ["1", "3/2", "13/12", "1/2"],
+                       "denoms": [1, 1, 2, 12], "low_deg_H_generated": True})
+# Q3's data with c2 in Z/4.  On the presets and X the discriminant
+# c1^2 - 2 c0 c2 is an integer, so an irrational beta_0 has bound > degree
+# and its first violation is (0, 1); on W the discriminant 1/2 moves it off
+# c0 = 0, where the value is irrational
+W = VarietyDesc(name="W", dim=3, degree=2, index=3, todd=Q3.todd,
+                denoms=(1, 1, 4, 12))
+HALF_DISCRIMINANT = ((1, 0, Fraction(-1, 4)), (7, 2, Fraction(1, 4)),
+                     (7, 5, Fraction(7, 4)), (17, 3, Fraction(1, 4)))
 
 
 def test_beta_zero_spinor():
@@ -209,13 +223,8 @@ def test_degree_number_readings_match_fraction_oracle():
         assert (z.re, z.im) == weak_charge(d, v, shift)
         assert slope_h(x, v).value == weak_slope(d, v)
         assert discriminant_h(x, v) == discriminant(d, v)
-        if not all((c * lam).denominator == 1 for c, lam in zip(v, x.denoms)):
-            message = "class not in lattice"
-        elif v[0] <= 0:
-            message = "rank not positive"
-        elif discriminant(d, v) <= 0:
-            message = "no positive discriminant"
-        else:
+        message = _expected_message(x, v)
+        if message is None:
             f, mu, a0 = beta_zero_parts(d, v)
             bz = beta_zero(x, v)
             assert bz.F == f
@@ -229,6 +238,154 @@ def test_degree_number_readings_match_fraction_oracle():
             with pytest.raises(DomainError, match=message):
                 check(x, v)
     assert len(seen) == 4 and min(seen.values()) >= 100, seen
+
+
+def _expected_message(x, v):
+    """beta_zero's DomainError message for v from Fractions, None if valid."""
+    if not all((c * lam).denominator == 1 for c, lam in zip(v, x.denoms)):
+        return "class not in lattice"
+    if v[0] <= 0:
+        return "rank not positive"
+    if discriminant(x.degree, v) <= 0:
+        return "no positive discriminant"
+    return None
+
+
+def _line_classes(rng, count, varieties=(*PRESETS.values(), X)):
+    """count seeded (x, v): twists of (r, c1, k/lam2) with positive discriminant
+    on the given varieties, so N is a square (beta_0 rational) now and then."""
+    out = []
+    while len(out) < count:
+        x = rng.choice(varieties)
+        base = ChernVector([rng.randint(1, 4), rng.randint(-4, 4),
+                            Fraction(rng.randint(-9, 4), x.denoms[2])])
+        v = exp_twist(base, rng.randint(-3, 3))
+        if v[1] * v[1] - 2 * v[0] * v[2] > 0:
+            out.append((x, v))
+    return out
+
+
+QUAD_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                   "__rmul__", "__truediv__", "__neg__")
+
+
+def test_walls_take_no_quad_arithmetic(monkeypatch):
+    # every decision reads _line in integers, and each QuadNumber that walls
+    # returns is built by the constructor alone
+    def refuse(*args):
+        raise AssertionError("QuadNumber arithmetic in walls")
+
+    rng = random.Random(2525)
+    cases = [(x, v, rng.randint(0, 3), rng.randint(0, 6))
+             for x, v in _line_classes(rng, 600)]
+    for name in QUAD_ARITHMETIC:
+        monkeypatch.setattr(QuadNumber, name, refuse)
+    seen = Counter()
+    for x, v, max_rank, max_c1 in cases:
+        seen[x.name] += 1
+        bz = beta_zero(x, v)
+        seen["rational"] += bz.beta0.is_rational
+        seen["certificate"] += nowall_certificate(x, v) is not None
+        seen["violation"] += first_interval_violation(x, v) is not None
+        seen["walls"] += len(wall_scan(x, v, max_rank, max_c1))
+    assert len(seen) == 9 and min(seen.values()) >= 15, seen
+
+
+def _arithmetic_beta_zero(x, v):
+    """beta_zero by QuadNumber arithmetic on the Fraction oracle's parts."""
+    message = _expected_message(x, v)
+    if message is not None:
+        raise DomainError(message)
+    f, mu, a0 = beta_zero_parts(x.degree, v)
+    sqrt_f = QuadNumber(0, 1, f)
+    return BetaZero(F=f, beta0=QuadNumber(mu) - sqrt_f, bound=sqrt_f * a0)
+
+
+def _arithmetic_violation(x, v):
+    """first_interval_violation by QuadNumber arithmetic and order: in row
+    c0, the least c1 in Z / lam1 above beta_0 c0, if its value is below the
+    bound."""
+    bz = _arithmetic_beta_zero(x, v)
+    lam0, lam1 = x.denoms[0], x.denoms[1]
+    order = [0]
+    for k in range(1, _VIOLATION_RANK * lam0 + 1):
+        order.extend([k, -k])
+    for k0 in order:
+        c0w = Fraction(k0, lam0)
+        c1w = Fraction((bz.beta0 * c0w * lam1).floor() + 1, lam1)
+        value = (QuadNumber(c1w) - bz.beta0 * c0w) * x.degree
+        if value < bz.bound:
+            return c0w, c1w, value
+    return None
+
+
+def _outcome(call, x, v):
+    try:
+        return repr(call(x, v))
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+def test_line_values_match_quad_arithmetic_reference():
+    # reprs, the text of an irrational beta_0 or value included, and error
+    # messages equal those of the QuadNumber arithmetic reference
+    rng = random.Random(2626)
+    cases = _line_classes(rng, 1200) + _line_classes(rng, 300, (W,))
+    cases += [(W, exp_twist(ChernVector(base), k))
+              for base in HALF_DISCRIMINANT for k in range(-6, 7)]
+    for _ in range(1200):
+        x = rng.choice([*PRESETS.values(), X])
+        cases.append((x, ChernVector([
+            _random_coeff(rng, lam, 0.1)
+            for lam in x.denoms[:rng.randint(3, x.dim + 1)]])))
+    seen = Counter()
+    for x, v in cases:
+        for got, want in ((beta_zero, _arithmetic_beta_zero),
+                          (first_interval_violation, _arithmetic_violation)):
+            outcome = _outcome(got, x, v)
+            assert outcome == _outcome(want, x, v), (x.name, v)
+        seen[x.name] += 1
+        kind = ("no violation" if outcome == "None"
+                else "irrational value" if "sqrt" in outcome
+                else "rational value")
+        seen[outcome if outcome.startswith("DomainError") else kind] += 1
+    assert len(seen) == 12 and min(seen.values()) >= 20, seen
+
+
+def test_wall_scan_candidates_are_circles(monkeypatch):
+    # _k2_range gives no c2 when v0 w1 - v1 w0 = 0, so C0 != 0, and its
+    # strict crossing bound puts a point of the locus at alpha > 0
+    kinds = Counter()
+
+    def recording_locus(a, b):
+        locus = _locus(a, b)
+        kinds[locus[0]] += 1
+        return locus
+
+    monkeypatch.setattr(walls_module, "_locus", recording_locus)
+    rng = random.Random(2727)
+    for x, v in _line_classes(rng, 300):
+        wall_scan(x, v, rng.randint(1, 4), rng.randint(2, 8))
+    assert set(kinds) == {"circle"} and kinds["circle"] >= 1000, kinds
+
+
+def test_nowall_certificate_builds_beta_zero_only_for_a_certificate(monkeypatch):
+    calls = []
+
+    def counting(x, v):
+        calls.append(v)
+        return beta_zero(x, v)
+
+    monkeypatch.setattr(walls_module, "beta_zero", counting)
+    seen = Counter()
+    for x, v in _line_classes(random.Random(2828), 2000):
+        calls.clear()
+        cert = nowall_certificate(x, v)
+        assert calls == ([v] if cert is not None else []), (x.name, v)
+        if cert is not None:
+            assert cert.beta0 == beta_zero(x, v)
+        seen[cert is not None] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_short_class_errors():
