@@ -269,7 +269,7 @@ _COMMANDS = {
               ("target", "--alpha", "--beta", "--mu", "--shift"), _heart),
     "blms": ("induced stability checklist",
              ("members", "--alpha", "--beta", "--mu"), _blms),
-    "alpha-range": ("exact alpha interval of the checklist",
+    "alpha-range": ("exact alpha interval of the checklist at mu = 0",
                     ("members", "--beta"), _alpha_range),
     "beta0": ("discriminant line of a truncated class", ("target",), _beta0),
     "nowall": ("no-wall certificate for a truncated class", ("target",),
@@ -343,7 +343,11 @@ def run(argv: list[str]) -> int:
             raise DomainError(f"unknown variety: {name}")
         x = table[name]
         payload, notes, *document = _COMMANDS[args.command][2](args, x)
-        report = _render(args, x.name, payload, notes)
+        try:
+            report = _render(args, x.name, payload, notes)
+        except ValueError:      # an integer past the str conversion limit
+            raise DomainError("report needs an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
         # the output is the report, or the rendered document with the report
         # as its summary on stdout when the document goes to a file
         if document:

@@ -167,7 +167,7 @@ def heart_case(x: VarietyDesc, v: ChernVector, shift: int,
     of the four slope-inequality cases of _HEART_CASES at the shift where
     the underlying sheaf sits.  The verdict carries that case's two checks.
     """
-    if shift not in (0, 1, 2):
+    if shift not in (c[1] for c in _HEART_CASES):
         raise DomainError("shift out of range for double tilt")
     _, c0, c1, c2 = _truncated(v)
     return _heart(c0, c1, c2, shift, p)
@@ -225,11 +225,12 @@ class BlmsReport:
     items: tuple[BlmsItem, ...]
 
 
-def _line_bundle_degrees(x: VarietyDesc, members) -> list[int]:
-    # the degrees k of members O(k), checked as c_i = k^i / i! in integers;
-    # a non-empty block also needs c0, c1, c2 and a Serre shift n - 1 <= 2
+def _placements(x: VarietyDesc, members) -> list[tuple[int, int]]:
+    # (k, 0) for each member O(k) and (k - index, n - 1) for its Serre image,
+    # in member order; O(k) is checked as c_i = k^i / i! in integers, and a
+    # non-empty block also needs c0, c1, c2 and a Serre shift in _HEART_CASES
     members = getattr(members, "members", members)   # Collection or iterable
-    ks = []
+    out = []
     for m in members:
         x.check_class(m)
         k = m[1].numerator
@@ -237,12 +238,12 @@ def _line_bundle_degrees(x: VarietyDesc, members) -> list[int]:
                 c.numerator * factorial(i) != k ** i * c.denominator
                 for i, c in enumerate(m)):
             raise DomainError("semistability not certified")
-        ks.append(k)
-    if ks and x.dim < 2:
+        out += [(k, 0), (k - x.index, x.dim - 1)]
+    if out and x.dim < 2:
         raise DomainError("class needs at least coefficients c0, c1, c2")
-    if ks and x.dim > 3:
+    if out and x.dim - 1 not in (c[1] for c in _HEART_CASES):
         raise DomainError("shift out of range for double tilt")
-    return ks
+    return out
 
 
 def blms_check(x: VarietyDesc, members, p: TiltParams) -> BlmsReport:
@@ -267,24 +268,18 @@ def blms_check(x: VarietyDesc, members, p: TiltParams) -> BlmsReport:
     therefore always holds for alpha > 0: Im Z = 0 only at k = beta, where
     Re Z = d alpha^2 / 2.
     """
-    ks = _line_bundle_degrees(x, members)
+    placements = _placements(x, members)
     items: list[BlmsItem] = []
-    serre_shift = x.dim - 1
-    for k in ks:
-        verdict = _heart(2, 2 * k, k * k, 0, p)
-        items.append(BlmsItem(
-            1, f"O({k}) in heart at shift 0", verdict.in_heart,
-            _checks_text(verdict)))
-        j = k - x.index
-        tw = _heart(2, 2 * j, j * j, serre_shift, p)
-        items.append(BlmsItem(
-            1, f"O({j})[{serre_shift}] in heart", tw.in_heart,
-            _checks_text(tw)))
-    for k in ks:
+    for k, shift in placements:
+        verdict = _heart(2, 2 * k, k * k, shift, p)
+        label = (f"O({k})[{shift}] in heart" if shift
+                 else f"O({k}) in heart at shift 0")
+        items.append(BlmsItem(1, label, verdict.in_heart,
+                              _checks_text(verdict)))
+    for k in [k for k, shift in placements if shift == 0]:
         z = _charge(x.degree, 2, *_tilt_numbers(2, 2 * k, k * k, p), p)
-        items.append(BlmsItem(
-            2, f"Z(O({k})) nonzero", not z.is_zero(),
-            f"Z = {z.re} + {z.im}*i"))
+        items.append(BlmsItem(2, f"Z(O({k})) nonzero", not z.is_zero(),
+                              f"Z = {z.re} + {z.im}*i"))
     pairing = _zero_charge_pairing(x)
     detail = ("low-degree cohomology flag not set" if pairing is None
               else f"chi(O, minimal zero-charge class) = {pairing}")
@@ -313,8 +308,8 @@ def _checks_text(verdict: HeartVerdict) -> str:
 class AlphaInterval:
     """An interval of admissible alpha with exact endpoints.
 
-    lo/hi are QuadNumber (hi None means unbounded above); the closed right
-    end arises when the binding inequality is non-strict.
+    lo/hi are rational QuadNumbers (hi None means unbounded above); an end
+    is closed when its binding inequality is non-strict.
     """
 
     lo: QuadNumber
@@ -323,14 +318,11 @@ class AlphaInterval:
     hi_open: bool = True
 
     def contains(self, alpha) -> bool:
-        a = QuadNumber(rat(alpha))
-        if (a < self.lo) or (self.lo_open and a == self.lo):
+        a, lo = rat(alpha), self.lo.rational_value()
+        if a < lo or (self.lo_open and a == lo):
             return False
-        if self.hi is None:
-            return True
-        if a > self.hi or (self.hi_open and a == self.hi):
-            return False
-        return True
+        hi = None if self.hi is None else self.hi.rational_value()
+        return hi is None or a < hi or (not self.hi_open and a == hi)
 
     def text(self) -> str:
         """Interval notation.
@@ -338,35 +330,38 @@ class AlphaInterval:
         >>> AlphaInterval(lo=QuadNumber(0), hi=QuadNumber(Fraction(1, 2))).text()
         '(0, 1/2)'
         """
-        rb = ")" if self.hi_open else "]"
-        return f"({self.lo}, {'inf' if self.hi is None else self.hi}{rb}"
+        lb, rb = "(" if self.lo_open else "[", ")" if self.hi_open else "]"
+        return f"{lb}{self.lo}, {'inf' if self.hi is None else self.hi}{rb}"
 
 
 def alpha_range(x: VarietyDesc, members, beta) -> list[AlphaInterval]:
-    """Exact set of alpha > 0 where blms_check passes, at fixed beta.
+    """Exact set of alpha > 0 where blms_check passes at mu = 0, fixed beta.
 
-    For each member O(k) the heart conditions are constant in alpha apart
-    from bounds linear in beta, so no square-root threshold occurs.  O(k) at
-    shift 0 (case 1) needs k > beta and alpha < k - beta.  The Serre image
-    O(j)[n - 1], j = k - r, needs on a threefold (case 4) j < beta and
-    alpha <= beta - j; on a surface it needs alpha > beta - j when j < beta
-    (case 2), alpha >= j - beta when j > beta (case 3), and nothing when
-    j = beta (the tilt slope is +infinity).  The range runs from the largest
-    lower to the smallest upper bound, open at a strict one; it is empty
-    when they cross or condition (3) fails.
+    A placement (k, s) of _placements, with d = k - beta, is decided by the
+    case of _HEART_CASES at shift s whose mu_H test is d > 0 (none: empty
+    range).  At mu = 0 its tilt test holds for all alpha when d = 0, else
+    iff alpha < d (d > 0) or alpha > -d (d < 0), so it bounds alpha by |d|,
+    from above iff the tilt test equals d > 0, strictly iff it is '>'; no
+    square-root threshold occurs.  The range runs from the largest lower to
+    the smallest upper bound, open at a strict one; it is empty when they
+    cross or condition (3) fails.  A nonzero mu moves the tilt thresholds.
     """
-    be = rat(beta)
-    ks = _line_bundle_degrees(x, members)
-    js, surface = [k - x.index for k in ks], x.dim == 2
-    if (any(k <= be for k in ks) or not surface and any(j >= be for j in js)
-            or not _zero_charge_pairing(x)):
+    bn, bd = rat(beta).as_integer_ratio()
+    lows, highs = [(0, True)], []     # (bound * bd, strict)
+    for k, shift in _placements(x, members):
+        d = k * bd - bn               # (k - beta) * bd
+        case = next((c for c in _HEART_CASES
+                     if c[1] == shift and c[2] == (d > 0)), None)
+        if case is None:
+            return []
+        (highs if case[3] == (d > 0) else lows).append((abs(d), case[3]))
+    if not _zero_charge_pairing(x):
         return []
-    strict_lo = [Fraction(0)] + [be - j for j in js if surface and j < be]
-    lo = max(strict_lo + [j - be for j in js if surface and j > be])
-    strict_hi = [k - be for k in ks]
-    hi = min(strict_hi + [be - j for j in js if not surface], default=None)
+    lo, lo_open = max(lows)
+    hi, hi_closed = min(((b, not s) for b, s in highs), default=(None, False))
     if hi is not None and lo >= hi:     # a closed end only meets a strict one
         return []
-    return [AlphaInterval(lo=QuadNumber(lo), lo_open=lo in strict_lo,
-                          hi=None if hi is None else QuadNumber(hi),
-                          hi_open=hi is None or hi in strict_hi)]
+    return [AlphaInterval(
+        lo=QuadNumber(Fraction(lo, bd)), lo_open=lo_open,
+        hi=None if hi is None else QuadNumber(Fraction(hi, bd)),
+        hi_open=not hi_closed)]

@@ -167,6 +167,40 @@ def test_alpha_range_on_a_curve_exits_three(tmp_path, capsys):
             3, "", "error: class needs at least coefficients c0, c1, c2\n"), argv
 
 
+def test_alpha_range_closed_lower_end_on_a_surface(tmp_path, capsys):
+    # for P2's O(2) at beta = -6 the Serre image O(-1)[1] is in case 3,
+    # which needs alpha >= 5: the lower end is closed and blms passes there
+    cfg = tmp_path / "p2.json"
+    cfg.write_text(json.dumps({"varieties": [{
+        "name": "P2", "dim": 2, "degree": 1, "index": 3,
+        "todd": ["1", "3/2", "1"], "denoms": [1, 1, 2]}]}))
+    flags = ("O(2)", "--config", str(cfg), "--variety", "p2", "--beta", "-6")
+    code, out = invoke(capsys, "alpha-range", *flags)
+    assert code == 0
+    assert ("intervals: [{text=[5, 8), lo=5, hi=8, lo_open=false, "
+            "hi_open=true}]\n") in out
+    code, doc = invoke_json(capsys, "alpha-range", *flags)
+    (iv,) = doc["result"]["intervals"]
+    assert (iv["text"], iv["lo_open"], iv["hi_open"]) == ("[5, 8)", False, True)
+    for alpha, verdict in (("5", "PASS"), ("49/10", "FAIL"), ("8", "FAIL")):
+        code, doc = invoke_json(capsys, "blms", *flags, "--alpha", alpha)
+        assert (code, doc["result"]["verdict"]) == (0, verdict), alpha
+
+
+def test_report_past_the_integer_digit_limit_exits_three(tmp_path, capsys):
+    # O(N) for a 2000-digit N has c3 = N^3/6, past Python's limit on
+    # integer string conversion: the report is refused with exit 3
+    twist = f"O({'9' * 2000})"
+    message = (f"error: report needs an integer of more than "
+               f"{sys.get_int_max_str_digits()} digits\n")
+    target = tmp_path / "report.txt"
+    for argv in (["zh", twist], ["chi", "O", twist, "--json"], ["orth", twist],
+                 ["zh", twist, "--out", str(target)]):
+        code, out, err = invoke_err(capsys, *argv, "--variety", "q3")
+        assert (code, out, err) == (3, "", message), argv[0]
+    assert not target.exists()
+
+
 def test_determinism_text_and_json(capsys):
     argv = ["walls", "--variety", "q3", "1,0,-1"]
     _, first = invoke(capsys, *argv)

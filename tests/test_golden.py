@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from kustab.cli import run
+from kustab.exact import QuadNumber
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIG = GOLDEN / "config_x.json"
@@ -134,6 +135,35 @@ def test_golden_transcript(name, cases):
         pytest.fail(f"{name}.txt differs at line {i + 1}:\n"
                     f"  expected: {exp_lines[i:i + 1]!r}\n"
                     f"  got:      {got_lines[i:i + 1]!r}")
+
+
+# every QuadNumber method that computes with or compares values (a wider
+# set than test_walls.QUAD_ARITHMETIC, which leaves order and floor alone)
+QUAD_METHODS = ("_coerce", "_join_radicand", "__add__", "__radd__",
+                "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                "__truediv__", "sign", "_cmp", "__eq__", "__lt__", "__le__",
+                "__gt__", "__ge__", "floor")
+
+
+def test_src_does_no_quad_number_arithmetic(monkeypatch):
+    # QuadNumbers are built and printed, never computed with: the golden
+    # transcripts, the residual survey of seed 1 and AlphaInterval.contains
+    # on its ranges all run with the arithmetic and order methods removed
+    def refuse(*args):
+        raise AssertionError("QuadNumber arithmetic")
+
+    for name in QUAD_METHODS:
+        monkeypatch.setattr(QuadNumber, name, refuse)
+    for name, cases in CASES:
+        assert transcript(cases) == (GOLDEN / f"{name}.txt").read_bytes(), name
+    monkeypatch.syspath_prepend(str(GOLDEN.parent.parent / "bench"))
+    import workloads
+
+    for op in workloads.survey_inputs(1):
+        res = workloads.run_survey_op(op)
+        for (alpha, beta), passed in res.blms.items():
+            assert passed == any(iv.contains(alpha)
+                                 for iv in res.ranges[beta])
 
 
 def _regenerate() -> None:

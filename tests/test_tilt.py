@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kustab import tilt
 from kustab.exact import DomainError, QuadNumber
 from kustab.config import variety_from_dict
 from kustab.semiorth import Collection
@@ -29,6 +30,7 @@ X = variety_from_dict({"name": "X", "dim": 3, "degree": 2, "index": 3,
                        "denoms": [1, 1, 2, 12], "low_deg_H_generated": True})
 P2 = VarietyDesc(name="p2", dim=2, degree=1, todd=(1, Fraction(3, 2), 1),
                  denoms=(1, 1, 2), index=3)
+FLAG_OFF = dataclasses.replace(Q3, low_deg_H_generated=False)
 STD = TiltParams(alpha=Fraction(1, 4), beta=Fraction(-1, 2))
 
 
@@ -472,41 +474,88 @@ def test_alpha_range_guards_match_blms_check():
         assert [iv.text() for iv in alpha_range(x, (), 0)] == ["(0, inf)"]
 
 
+def _range_samples(xs):
+    """(x, ks, members, beta, alpha_range, alphas) on the sampled grid.
+
+    A threefold gets every sub-block of its standard block and the empty
+    block, beta on quarter steps over [-4, 3]; a surface gets the blocks
+    O(a)..O(a + m - 1), a in [-3, 2], m <= 3, beta over [-6, 3).  The alphas
+    are five fixed values plus every interval end and its neighbours.
+    """
+    step, eps = Fraction(1, 4), Fraction(1, 1000)
+    for x in xs:
+        if x.dim == 2:
+            blocks = [range(a, a + m) for a in range(-3, 3) for m in (1, 2, 3)]
+        else:
+            blocks = [range(i, j) for i in range(x.index)
+                      for j in range(i + 1, x.index + 1)] + [range(0)]
+        for ks in blocks:
+            mem = tuple(line_bundle_class(x, k) for k in ks)
+            for b in range(-24, 12) if x.dim == 2 else range(-16, 13):
+                beta = b * step
+                ivs = alpha_range(x, mem, beta)
+                ends = {iv.lo.rational_value() for iv in ivs} | {
+                    iv.hi.rational_value() for iv in ivs if iv.hi is not None}
+                alphas = {Fraction(1, 8), Fraction(1, 2), Fraction(1),
+                          Fraction(2), Fraction(4)}
+                alphas |= {e + d for e in ends | {Fraction(0)}
+                           for d in (-eps, 0, eps)}
+                yield (x, list(ks), mem, beta, ivs,
+                       sorted(a for a in alphas if a > 0))
+
+
 def test_alpha_range_matches_sampled_blms():
     # p4 is left out: its Serre shift of 3 is outside the double tilt
     # the empty collection has range (0, inf); the flag-off variety has none
     # on the surface P2 the Serre image sits at shift 1 (cases 2 and 3), so
-    # its blocks O(a)..O(a + m - 1) also get ranges with a positive left end
-    step, eps = Fraction(1, 4), Fraction(1, 1000)
-    flag_off = dataclasses.replace(Q3, low_deg_H_generated=False)
-    p2 = VarietyDesc(name="p2", dim=2, degree=1, todd=(1, Fraction(3, 2), 1),
-                     denoms=(1, 1, 2), index=3)
-    cases = []
-    for x in (Q3, Y4, get_preset("y2"), flag_off):
-        block = members(x)
-        cases += [(x, block[i:j]) for i in range(len(block))
-                  for j in range(i + 1, len(block) + 1)] + [(x, ())]
-    cases += [(p2, tuple(line_bundle_class(p2, k) for k in range(a, a + m)))
-              for a in range(-3, 3) for m in (1, 2, 3)]
+    # its blocks O(a)..O(a + m - 1) also get ranges with a positive left end;
+    # each sample is also decided by the slope oracle, which shares no code
+    # with _HEART_CASES
     lower_ends = 0
-    for x, mem in cases:
-        for b in range(-24, 12) if x is p2 else range(-16, 13):
-            beta = b * step
-            ivs = alpha_range(x, mem, beta)
-            his = {iv.hi.rational_value() for iv in ivs if iv.hi is not None}
-            los = {iv.lo.rational_value() for iv in ivs}
-            assert all(e > 0 for e in his), (x.name, mem, beta)
-            lower_ends += sum(e > 0 for e in los)
-            alphas = {Fraction(1, 8), Fraction(1, 2), Fraction(1),
-                      Fraction(2), Fraction(4)}
-            alphas |= {e + d for e in his | los | {Fraction(0)}
-                       for d in (-eps, 0, eps)}
-            for alpha in sorted(a for a in alphas if a > 0):
-                p = TiltParams(alpha=alpha, beta=beta)
-                passed = blms_check(x, mem, p).passed
-                assert passed == any(iv.contains(alpha) for iv in ivs), (
-                    x.name, mem, beta, alpha)
+    for x, ks, mem, beta, ivs, alphas in _range_samples(
+            (Q3, Y4, get_preset("y2"), FLAG_OFF, P2)):
+        assert all(iv.hi.rational_value() > 0 for iv in ivs
+                   if iv.hi is not None), (x.name, ks, beta)
+        lower_ends += sum(iv.lo.rational_value() > 0 for iv in ivs)
+        for alpha in alphas:
+            inside = any(iv.contains(alpha) for iv in ivs)
+            passed = blms_check(x, mem, TiltParams(alpha, beta)).passed
+            oracle = all(i[2] for i in _oracle_blms_items(x, ks, alpha, beta, 0))
+            assert passed == inside == oracle, (x.name, ks, beta, alpha)
     assert lower_ends >= 20, lower_ends
     assert [iv.text() for iv in alpha_range(Q3, (), 0)] == ["(0, inf)"]
     assert alpha_range(Q3, members(Q3), Fraction(-1, 2)) != []
-    assert alpha_range(flag_off, members(Q3), Fraction(-1, 2)) == []
+    assert alpha_range(FLAG_OFF, members(Q3), Fraction(-1, 2)) == []
+
+
+def test_alpha_range_reads_the_heart_table(monkeypatch):
+    # alpha_range has no case analysis of its own: under a table whose
+    # shift-1 cases swap their mu_H tests it still agrees with blms_check,
+    # and the changed table changes the verdict of some samples
+    monkeypatch.setattr(tilt, "_HEART_CASES", (
+        (1, 0, True, True), (2, 1, True, True), (3, 1, False, False),
+        (4, 2, False, False)))
+    samples = []
+    for x, _, mem, beta, ivs, alphas in _range_samples((Q3, P2)):
+        for alpha in alphas:
+            passed = blms_check(x, mem, TiltParams(alpha, beta)).passed
+            assert passed == any(iv.contains(alpha) for iv in ivs), (
+                x.name, mem, beta, alpha)
+            samples.append((x, mem, TiltParams(alpha, beta), passed))
+    monkeypatch.undo()
+    changed = sum(blms_check(x, mem, p).passed != passed
+                  for x, mem, p, passed in samples)
+    assert changed > 1000, (len(samples), changed)
+
+
+def test_alpha_range_is_the_mu_zero_range():
+    # the range is where blms_check passes at mu = 0; a nonzero mu moves
+    # the tilt thresholds: alpha = 3/8 is in the range for q3's block at
+    # beta = -1/2 and passes at mu = 0, but fails at mu = 1/2
+    beta, alpha = Fraction(-1, 2), Fraction(3, 8)
+    (iv,) = alpha_range(Q3, members(Q3), beta)
+    assert iv.contains(alpha)
+    assert blms_check(Q3, members(Q3), TiltParams(alpha, beta)).passed
+    assert not blms_check(Q3, members(Q3),
+                          TiltParams(alpha, beta, Fraction(1, 2))).passed
+
