@@ -59,8 +59,10 @@ def parse_class(token: str, x: VarietyDesc, truncated: bool = False) -> ChernVec
         return line_bundle_class(x, 0)
     if tok.startswith("O(") and tok.endswith(")"):
         inner = tok[2:-1]
-        try:
-            k = int(inner)
+        try:    # a sign and ASCII digits: int() alone also takes "1_0", " 1", "١"
+            if not re.fullmatch(r"[+-]?[0-9]+", inner):
+                raise ValueError(inner)
+            k = int(inner)      # ValueError past the integer digit limit too
         except ValueError:
             raise ParseError(f"malformed twist in {token!r}") from None
         return line_bundle_class(x, k)

@@ -16,6 +16,7 @@ them by name.
 from __future__ import annotations
 
 import json
+import sys
 
 from .exact import DomainError, rat
 from .variety import PRESETS, VarietyDesc
@@ -65,7 +66,13 @@ def variety_from_dict(rec: dict) -> VarietyDesc:
 def load_config(path: str) -> tuple[dict[str, VarietyDesc], str | None]:
     """Parse a config file into a name -> descriptor map plus the default name."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:   # an integer past the str conversion limit
+            raise DomainError("config number has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
     varieties = {}
     recs, default = doc.get("varieties", []), doc.get("default_variety")
     if not isinstance(recs, list):

@@ -22,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
-from operator import mul
 
 from .exact import (DomainError, RatMatrix, _cleared, _dot, _solve, hnf_rows,
                     int_kernel)
-from .variety import (ChernVector, VarietyDesc, _functionals, _pairing_scale,
-                      _serre_matrix, from_lattice_coords, in_lattice,
-                      to_lattice_coords)
+from .variety import (ChernVector, VarietyDesc, _functionals, _lattice_coords,
+                      _on_lattice, _pairing_scale, _serre_matrix,
+                      from_lattice_coords, in_lattice)
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,8 @@ def _residual(x: VarietyDesc, c: Collection) -> list[list[int]]:
     rows = c._rows_on(x)
     if not all(in_lattice(x, m) for m in c.members):
         raise DomainError("collection member not in lattice")
-    steps = [lcm(*x.denoms) // d for d in x.denoms]
-    return int_kernel([list(map(mul, f, steps)) for _, _, f in rows]
-                      or [[0] * len(steps)])
+    return int_kernel([_on_lattice(x, f) for _, _, f in rows]
+                      or [[0] * (x.dim + 1)])
 
 
 def right_orthogonal(x: VarietyDesc, c: Collection) -> list[ChernVector]:
@@ -210,11 +208,9 @@ def fullness_report(x: VarietyDesc, c: Collection,
     already "numerically-full"; anything else is "inconclusive".
     """
     res_rows = _residual(x, c)
-    if not all(in_lattice(x, g) for g in residual_gens):
-        raise DomainError("generator not in residual lattice")
-    gen_rows = [to_lattice_coords(x, g) for g in residual_gens]
-    if hnf_rows(res_rows + gen_rows) != res_rows:   # some generator off span
-        raise DomainError("generator not in residual lattice")
+    gen_rows = [_lattice_coords(x, x.check_class(g)) for g in residual_gens]
+    if None in gen_rows or hnf_rows(res_rows + gen_rows) != res_rows:
+        raise DomainError("generator not in residual lattice")   # or not in span
     exceptional = is_numerically_exceptional(c)
     spans = hnf_rows(gen_rows) == res_rows
     checks = (

@@ -15,7 +15,8 @@ and chi(V/p, W/q) = V^T G W / (scale * p * q) for integer vectors V, W.
 
 Only this module reads (scale, G).  Other modules call euler_pairing,
 _functionals (the integer rows F = V^T G of classes), _pairing_scale (the
-scale) and _chi_o_top (chi(O, H^n / lambda_n)).
+scale), _chi_o_top (chi(O, H^n / lambda_n)), _lattice_coords (the one
+written form of the lattice rule) and _on_lattice (a row on its basis).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .exact import DomainError, RatMatrix, _cleared, _dot, _solve, rat
 
@@ -257,14 +258,21 @@ def serre_numeric(x: VarietyDesc) -> RatMatrix:
 
 def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:
     """True when lambda_i * c_i is an integer for every i."""
-    x.check_class(v)
-    return _lattice_integral(x, v)
+    return _lattice_coords(x, x.check_class(v)) is not None
 
 
-def _lattice_integral(x: VarietyDesc, v: ChernVector) -> bool:
-    # the in_lattice rule on the coefficients v has, so truncations qualify
-    # too; for a reduced c, c * d is an integer exactly when den(c) divides d
-    return all(d % c.denominator == 0 for c, d in zip(v, x.denoms))
+def _lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int] | None:
+    # the integers lambda_i c_i for the coefficients v has (truncations too),
+    # or None when one is not: lambda c is an integer iff den(c) | lambda
+    if any(d % c.denominator for c, d in zip(v, x.denoms)):
+        return None
+    return [c.numerator * (d // c.denominator) for c, d in zip(v, x.denoms)]
+
+
+def _on_lattice(x: VarietyDesc, f) -> list[int]:
+    # integer row f on H^j read on the lattice basis H^j / lambda_j, times lcm
+    big = lcm(*x.denoms)
+    return [fj * (big // d) for fj, d in zip(f, x.denoms)]
 
 
 def _truncated(v: ChernVector) -> tuple[int, int, int, int]:
@@ -277,9 +285,10 @@ def _truncated(v: ChernVector) -> tuple[int, int, int, int]:
 
 
 def to_lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int]:
-    if not in_lattice(x, v):
+    coords = _lattice_coords(x, x.check_class(v))
+    if coords is None:
         raise DomainError("class not in lattice")
-    return [c.numerator * (d // c.denominator) for c, d in zip(v, x.denoms)]
+    return coords
 
 
 def from_lattice_coords(x: VarietyDesc, coords) -> ChernVector:

@@ -8,8 +8,11 @@ open interval criterion
     0 < ch_1^{beta_0}(w) H^{n-1} < ch_1^{beta_0}(v) H^{n-1} = sqrt(F) c_0 H^n,
 
 and both w and v - w must satisfy the Bogomolov-Gieseker inequality
-Delta_H >= 0.  Since ch_2^{beta_0}(v) = 0, the wall of (v, w) meets the
-line beta = beta_0 at a height alpha > 0 exactly when alpha^2 > 0 in
+Delta_H >= 0.  It holds for tilt-semistable objects on every smooth
+projective threefold (Bayer-Macri-Toda, arXiv:1103.5010, Cor. 7.3.2) and,
+classically, on surfaces, so the filters and certificates need no
+per-variety premise.  Since ch_2^{beta_0}(v) = 0, the wall of (v, w) meets
+the line beta = beta_0 at a height alpha > 0 exactly when alpha^2 > 0 in
 
     alpha^2 (v_0 w_1 - v_1 w_0) / 2 = -ch_2^{beta_0}(w) v_0 sqrt(F),
 
@@ -27,10 +30,11 @@ k_2, is one floor of (A + B sqrt(N)) / C with integers A, B, C, taken by
 exact._qfloor, or a plain division for the B = 0 of the two discriminants.
 The certificate and the violation search read _line too; beta_zero only
 builds the QuadNumbers it returns.  _locus gives the wall of v and w as
-integers (C0, C1, C2) from integer truncations; wall_scan takes v's once
-from _line, deduplicates on the primitive triple (C0, C1, C2) / g and
-builds Fractions once per distinct circle.  A scan box of more than
-_SCAN_BUDGET lattice pairs (k0, k1) is refused with DomainError.
+integers (C0, C1, C2) from integer truncations, and _wall alone decides its
+kind; wall_scan takes v's once from _line, deduplicates on the primitive
+triple (C0, C1, C2) / g and builds Fractions once per distinct circle.  A
+scan box of more than _SCAN_BUDGET lattice pairs (k0, k1) is refused with
+DomainError.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .exact import DomainError, QuadNumber, _qfloor, rat
-from .variety import ChernVector, VarietyDesc, _lattice_integral, _truncated
+from .variety import ChernVector, VarietyDesc, _lattice_coords, _truncated
 
 
 _VIOLATION_RANK = 8     # rows |c0| <= 8 searched by first_interval_violation
@@ -91,7 +95,7 @@ def beta_zero(x: VarietyDesc, v: ChernVector) -> BetaZero:
 
 def _line(x: VarietyDesc, v: ChernVector) -> tuple[int, ...]:
     """(M, V0, V1, V2, N, isqrt(N)) of the module docstring, checking v first."""
-    if not _lattice_integral(x, v):
+    if _lattice_coords(x, v) is None:
         raise DomainError("class not in lattice")
     m, v0, v1, v2 = _truncated(v)
     if v0 <= 0:
@@ -168,33 +172,27 @@ def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
     return _wall(*_locus(_truncated(v)[1:], _truncated(w)[1:]), (w,))
 
 
-def _locus(a, b) -> tuple[str, int, int, int]:
-    """(kind, C0, C1, C2) of the wall of v and w from integer truncations.
+def _locus(a, b) -> tuple[int, int, int]:
+    """(C0, C1, C2) of the wall of v and w from integer truncations.
 
     C0 = A0 B1 - A1 B0, C1 = 2 (A2 B0 - A0 B2), C2 = 2 (A1 B2 - A2 B1) for
     a = (A0, A1, A2) = M v and b = (B0, B1, B2) = P w with M, P > 0: these
     are the cross-multiplied charges times 2 / (d^2 M P) > 0.
     """
     (a0, a1, a2), (b0, b1, b2) = a, b
-    c0, c1, c2 = a0 * b1 - a1 * b0, 2 * (a2 * b0 - a0 * b2), 2 * (a1 * b2 - a2 * b1)
-    if c0 != 0:
-        kind = "circle" if c1 * c1 > 4 * c0 * c2 else "empty"
-    elif c1 != 0:
-        kind = "vertical-line"
-    else:
-        kind = "empty" if c2 != 0 else "degenerate"
-    return kind, c0, c1, c2
+    return a0 * b1 - a1 * b0, 2 * (a2 * b0 - a0 * b2), 2 * (a1 * b2 - a2 * b1)
 
 
-def _wall(kind, c0, c1, c2, witnesses) -> WallCircle:
-    """The WallCircle of a _locus result; radius^2 = (C1^2 - 4 C0 C2) / (4 C0^2)."""
-    if kind == "circle":
-        return WallCircle(kind, center_beta=Fraction(-c1, 2 * c0),
-                          radius_sq=Fraction(c1 * c1 - 4 * c0 * c2, 4 * c0 * c0),
+def _wall(c0, c1, c2, witnesses) -> WallCircle:
+    """The WallCircle of C0 (alpha^2 + beta^2) + C1 beta + C2 = 0, alpha > 0."""
+    disc = c1 * c1 - 4 * c0 * c2    # radius^2 = disc / (4 C0^2)
+    if c0 != 0 and disc > 0:
+        return WallCircle("circle", center_beta=Fraction(-c1, 2 * c0),
+                          radius_sq=Fraction(disc, 4 * c0 * c0), witnesses=witnesses)
+    if c0 == 0 and c1 != 0:
+        return WallCircle("vertical-line", line_beta=Fraction(-c2, c1),
                           witnesses=witnesses)
-    if kind == "vertical-line":
-        return WallCircle(kind, line_beta=Fraction(-c2, c1), witnesses=witnesses)
-    return WallCircle(kind, witnesses=witnesses)
+    return WallCircle("empty" if c0 or c2 else "degenerate", witnesses=witnesses)
 
 
 def _k1_range(denoms, line, k0: int) -> tuple[int, int]:
@@ -280,7 +278,7 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
         for k1 in range(max(k1_lo, -k1_box), min(k1_hi, k1_box) + 1):
             for k2 in _k2_range(x.denoms, line, k0, k1):
                 # a circle: direction != 0 gives C0 != 0, the strict crossing C1^2 > 4 C0 C2
-                _, c0, c1, c2 = _locus(a, (k0 * s0, k1 * s1, k2 * s2))
+                c0, c1, c2 = _locus(a, (k0 * s0, k1 * s1, k2 * s2))
                 g = gcd(c0, c1, c2) if c0 > 0 else -gcd(c0, c1, c2)
                 key = (c0 // g, c1 // g, c2 // g)
                 walls.setdefault(key, []).append((k0, k1, k2))
@@ -289,5 +287,5 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
         # every lam_i > 0: the order of the integer (k0, k1, k2) is that of w.coeffs
         wits = tuple(ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
                                   Fraction(k2, lam2)]) for k0, k1, k2 in sorted(ks))
-        out.append(_wall("circle", *key, wits))
+        out.append(_wall(*key, wits))
     return sorted(out, key=lambda w: (w.center_beta, w.radius_sq))

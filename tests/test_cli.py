@@ -307,6 +307,35 @@ def test_config_shapes_exit_three(tmp_path, capsys):
         assert got == (3, "", f"error: {message}\n"), doc
 
 
+def test_config_number_past_the_digit_limit_exits_three(tmp_path):
+    # json.load raises a plain ValueError on a 5000-digit integer; it is a
+    # one-line domain error, not a traceback
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"varieties": [{"name": "X", "dim": 3, "degree": '
+                   + "1" * 5000 + ', "index": 3, "todd": ["1", "3/2", '
+                   '"13/12", "1/2"], "denoms": [1, 1, 2, 12]}]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent
+                                          / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kustab.cli", "orth", "--config", str(cfg),
+         "--variety", "x"], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("error: config number has more than "
+                           f"{sys.get_int_max_str_digits()} digits\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_twist_takes_a_sign_and_ascii_digits_only(capsys):
+    # int() alone reads "1_0" as 10 and "\u0661" (Arabic-Indic one) and " 1" as 1
+    for token in ("O(1_0)", "O(\u0661)", "O( 1)"):
+        code, out, err = invoke_err(capsys, "chi", "--variety", "q3", "O", token)
+        assert (code, out, err) == (
+            2, "", f"usage error: malformed twist in {token!r}\n"), token
+    for token, chi in (("O(1)", "5"), ("O(+1)", "5"), ("O(-1)", "0")):
+        code, out = invoke(capsys, "chi", "--variety", "q3", "O", token)
+        assert code == 0 and f"chi: {chi}\n" in out, token
+
+
 def test_output_independent_of_hash_seed():
     src = str(Path(__file__).resolve().parent.parent / "src")
     commands = (["classify", "S", "--json"], ["orth"], ["fullness"],

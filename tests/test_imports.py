@@ -1,7 +1,8 @@
 """Every kustab module uses each name it imports, every private module-level
 function and class-body method has a reader, the package exports exactly the
-names its __init__ imports, and only variety reads a variety's integer
-pairing form ._form (no linter needed)."""
+names its __init__ imports, only variety reads a variety's integer pairing
+form ._form, and only variety and walls read its lattice denominators
+.denoms (no linter needed)."""
 
 import ast
 from pathlib import Path
@@ -100,18 +101,34 @@ def test_package_all_matches_its_imports():
     assert all(hasattr(kustab, name) for name in kustab.__all__)
 
 
-def form_reads(source: str) -> list[int]:
-    """Line numbers of the attribute accesses ._form in a module."""
+def attribute_reads(source: str, attr: str) -> list[int]:
+    """Line numbers of the attribute accesses .attr in a module."""
     return [n.lineno for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and n.attr == "_form"]
+            if isinstance(n, ast.Attribute) and n.attr == attr]
 
 
 def test_form_read_check_flags_an_orphan():
     source = ('def f(x, _form):\n    form = x.form\n'
               '    return x._form[0] + _form\n')
-    assert form_reads(source) == [3]
+    assert attribute_reads(source, "_form") == [3]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_variety_reads_the_pairing_form(path):
-    assert bool(form_reads(path.read_text())) == (path.name == "variety.py")
+    assert bool(attribute_reads(path.read_text(), "_form")) == (
+        path.name == "variety.py")
+
+
+def test_denoms_read_check_flags_an_orphan():
+    # a keyword argument or a string "denoms" is not a read
+    source = ('def f(x, denoms):\n    y = g(denoms=denoms, key="denoms")\n'
+              '    return x.denominator + x.denoms[0]\n')
+    assert attribute_reads(source, "denoms") == [3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_variety_and_walls_read_denoms(path):
+    # the lattice rule lives in variety; walls still reads lambda for its
+    # scan steps
+    assert bool(attribute_reads(path.read_text(), "denoms")) == (
+        path.name in ("variety.py", "walls.py"))

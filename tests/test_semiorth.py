@@ -369,6 +369,12 @@ def test_fullness_rank_two_residual_any_z_basis():
 def test_fullness_rejects_non_residual_generator():
     with pytest.raises(DomainError, match="generator not in residual"):
         fullness_report(Q3, block(Q3), [line_bundle_class(Q3, 0)], True)
+    off_lattice = ChernVector([0, 0, Fraction(1, 4), 0])
+    with pytest.raises(DomainError, match="generator not in residual"):
+        fullness_report(Q3, block(Q3), [off_lattice], True)
+    # every generator's arity is checked before any lattice test
+    with pytest.raises(DomainError, match="wrong arity"):
+        fullness_report(Q3, block(Q3), [off_lattice, ChernVector([1, 0, 0])], True)
 
 
 def _collections():
