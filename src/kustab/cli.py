@@ -18,11 +18,15 @@ from fractions import Fraction
 from . import semiorth, tilt, walls
 from .config import registry
 from .exact import DomainError, rat
-from .report import to_jsonable, to_text_value
+from .report import json_default, to_text_value
 from .svg import render_walls_svg
 from .variety import (SPINOR_CLASS, SPINOR_VARIETIES, ChernVector,
                       VarietyDesc, euler_pairing, gram_matrix,
                       line_bundle_class, serre_numeric)
+
+
+# a sign and ASCII digits: int() and Fraction() also take "1_0", " 1", "١"
+_INTEGER = r"[+-]?[0-9]+"
 
 
 class ParseError(ValueError):
@@ -40,8 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rational(text: str) -> Fraction:
-    # every rational flag; a zero denominator is a usage error, not a crash
+    # every rational flag: an integer with an optional "/" and ASCII digits;
+    # a zero denominator is a usage error, not a crash
     try:
+        if not re.fullmatch(_INTEGER + "(/[0-9]+)?", text):
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
@@ -59,8 +66,8 @@ def parse_class(token: str, x: VarietyDesc, truncated: bool = False) -> ChernVec
         return line_bundle_class(x, 0)
     if tok.startswith("O(") and tok.endswith(")"):
         inner = tok[2:-1]
-        try:    # a sign and ASCII digits: int() alone also takes "1_0", " 1", "١"
-            if not re.fullmatch(r"[+-]?[0-9]+", inner):
+        try:
+            if not re.fullmatch(_INTEGER, inner):
                 raise ValueError(inner)
             k = int(inner)      # ValueError past the integer digit limit too
         except ValueError:
@@ -326,8 +333,8 @@ def _render(args, variety: str, payload: dict, notes: list) -> str:
     """The report envelope, as sorted-key JSON or as text lines."""
     if args.json:
         doc = {"command": args.command, "variety": variety,
-               "result": to_jsonable(payload), "notes": notes}
-        return json.dumps(doc, sort_keys=True) + "\n"
+               "result": payload, "notes": notes}
+        return json.dumps(doc, sort_keys=True, default=json_default) + "\n"
     lines = [f"command: {args.command}", f"variety: {variety}"]
     lines.extend(f"{key}: {to_text_value(value)}" for key, value in payload.items())
     lines.extend(f"note: {n}" for n in notes)
@@ -363,7 +370,7 @@ def run(argv: list[str]) -> int:
         else:
             sys.stdout.write(out.decode("utf-8"))
         return 0
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except DomainError as exc:

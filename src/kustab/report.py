@@ -13,28 +13,17 @@ from .exact import QuadNumber
 from .variety import ChernVector
 
 
-def fmt_rat_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def to_jsonable(obj):
-    """Recursively convert exact values and containers to JSON-safe data."""
+def json_default(obj):
+    """json.dumps's hook for the four exact payload types; json walks the rest."""
     if isinstance(obj, Fraction):
-        return fmt_rat_json(obj)
+        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, QuadNumber):
-        return {"a": fmt_rat_json(obj.a), "b": fmt_rat_json(obj.b),
-                "radicand": fmt_rat_json(obj.F)}
-    if isinstance(obj, ChernVector):
-        return [fmt_rat_json(c) for c in obj]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
+        return {"a": obj.a, "b": obj.b, "radicand": obj.F}
     if isinstance(obj, frozenset):
         return sorted(str(x) for x in obj)
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    return str(obj)
+    if isinstance(obj, ChernVector):
+        return list(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def to_text_value(obj) -> str:

@@ -284,12 +284,5 @@ def _truncated(v: ChernVector) -> tuple[int, int, int, int]:
     return (m, *c)
 
 
-def to_lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int]:
-    coords = _lattice_coords(x, x.check_class(v))
-    if coords is None:
-        raise DomainError("class not in lattice")
-    return coords
-
-
 def from_lattice_coords(x: VarietyDesc, coords) -> ChernVector:
     return ChernVector(Fraction(int(c), d) for c, d in zip(coords, x.denoms))

@@ -176,6 +176,25 @@ def rank2_model(g, bound: int = 6):
     return None
 
 
+# -- the box lattice sum Z H^i / lambda_i ---------------------------------------
+
+
+def box_coords(denoms, v):
+    """The integers lambda_i c_i of v, or None when one is not an integer.
+
+    Truncated classes qualify: only the coefficients v has are read.
+    """
+    scaled = [Fraction(c) * d for c, d in zip(v, denoms)]
+    if any(s.denominator != 1 for s in scaled):
+        return None
+    return [s.numerator for s in scaled]
+
+
+def box_class(rng, denoms, bound: int) -> list[Fraction]:
+    """A seeded box-lattice class: k_i / lambda_i with |k_i| <= bound."""
+    return [Fraction(rng.randint(-bound, bound), d) for d in denoms]
+
+
 # -- residual classes by projection --------------------------------------------
 
 
@@ -196,8 +215,7 @@ def classify_by_projection(degree, todd, index, denoms, members, v):
 
     if all(c == 0 for c in v):
         return "zero class"
-    if (any((c * d).denominator != 1 for c, d in zip(v, denoms))
-            or any(chi(e, v) != 0 for e in members)):
+    if box_coords(denoms, v) is None or any(chi(e, v) != 0 for e in members):
         return "not residual"
     chi_self = chi(v, v)
     twist = [Fraction(index) ** k / factorial(k) for k in range(n + 1)]

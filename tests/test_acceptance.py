@@ -23,7 +23,7 @@ from kustab.variety import (ChernVector, SPINOR_CLASS, euler_pairing,
                             serre_class, serre_numeric)
 from kustab.walls import beta_zero, nowall_certificate, wall_scan
 
-from oracles import hilbert_q3
+from oracles import box_class, hilbert_q3
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
@@ -183,10 +183,8 @@ def test_criterion_11_property_suites():
         for x in (P4, Q3, Y4, Y2):
             s = serre_numeric(x)
             for _ in range(200):
-                v = ChernVector([Fraction(rng.randint(-6, 6), d)
-                                 for d in x.denoms])
-                w = ChernVector([Fraction(rng.randint(-6, 6), d)
-                                 for d in x.denoms])
+                v = ChernVector(box_class(rng, x.denoms, 6))
+                w = ChernVector(box_class(rng, x.denoms, 6))
                 sw = ChernVector(s.apply(list(w)))
                 assert euler_pairing(x, v, sw) == euler_pairing(x, w, v)
         for v in (ChernVector([1, 0, -1]), ChernVector([2, 0, -1])):
@@ -203,10 +201,8 @@ def test_criterion_11_property_suites():
                     assert t * t >= 4 * a.radius_sq * b.radius_sq
         p = TiltParams(alpha=Fraction(2, 5), beta=Fraction(-1, 3))
         for _ in range(100):
-            v = ChernVector([Fraction(rng.randint(-6, 6), d)
-                             for d in Q3.denoms])
-            w = ChernVector([Fraction(rng.randint(-6, 6), d)
-                             for d in Q3.denoms])
+            v = ChernVector(box_class(rng, Q3.denoms, 6))
+            w = ChernVector(box_class(rng, Q3.denoms, 6))
             k = rng.randint(-3, 3)
             assert discriminant_h(Q3, exp_twist(v, k)) == discriminant_h(Q3, v)
             zs = charge_tilt(Q3, ChernVector([a + b for a, b in zip(v, w)]),

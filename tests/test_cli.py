@@ -11,13 +11,15 @@ from pathlib import Path
 import pytest
 
 from kustab.cli import ParseError, build_parser, default_collection, parse_class, run
-from kustab.exact import DomainError
+from kustab.exact import DomainError, QuadNumber
+from kustab.report import json_default
 from kustab.svg import _TICK_BUDGET, render_walls_svg
 from kustab.variety import ChernVector, get_preset
 from kustab.walls import _SCAN_BUDGET, WallCircle
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def invoke(capsys, *argv):
@@ -36,6 +38,13 @@ def invoke_err(capsys, *argv):
 def invoke_json(capsys, *argv):
     code, out = invoke(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+def invoke_process(*argv):
+    # one fresh "python -m kustab.cli" process, so a traceback would show
+    return subprocess.run([sys.executable, "-m", "kustab.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
 
 
 def test_parse_class_tokens():
@@ -201,6 +210,18 @@ def test_report_past_the_integer_digit_limit_exits_three(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_json_hook_maps_exactly_the_exact_types():
+    # json walks the containers; the hook sees only the exact types
+    doc = {"q": Fraction(-3), "z": QuadNumber(1, Fraction(1, 2), 2),
+           "s": frozenset({"b", "a"}), "v": ChernVector([1, 0, "1/2"])}
+    assert json.loads(json.dumps(doc, default=json_default)) == {
+        "q": "-3/1", "z": {"a": "1/1", "b": "1/2", "radicand": "2/1"},
+        "s": ["a", "b"], "v": ["1/1", "0/1", "1/2"]}
+    for obj in (object(), {1, 2}, 1j, b"x"):
+        with pytest.raises(TypeError):
+            json_default(obj)
+
+
 def test_determinism_text_and_json(capsys):
     argv = ["walls", "--variety", "q3", "1,0,-1"]
     _, first = invoke(capsys, *argv)
@@ -314,11 +335,7 @@ def test_config_number_past_the_digit_limit_exits_three(tmp_path):
     cfg.write_text('{"varieties": [{"name": "X", "dim": 3, "degree": '
                    + "1" * 5000 + ', "index": 3, "todd": ["1", "3/2", '
                    '"13/12", "1/2"], "denoms": [1, 1, 2, 12]}]}')
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent
-                                          / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kustab.cli", "orth", "--config", str(cfg),
-         "--variety", "x"], env=env, capture_output=True, text=True)
+    proc = invoke_process("orth", "--config", str(cfg), "--variety", "x")
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == ("error: config number has more than "
                            f"{sys.get_int_max_str_digits()} digits\n")
@@ -336,15 +353,41 @@ def test_twist_takes_a_sign_and_ascii_digits_only(capsys):
         assert code == 0 and f"chi: {chi}\n" in out, token
 
 
+def test_config_that_is_not_utf8_exits_two(tmp_path):
+    # load_config lets UnicodeDecodeError through, so that it is not read as
+    # the digit-limit error; run reports it as a usage error
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    proc = invoke_process("orth", "--config", str(cfg))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(
+        "usage error: 'utf-8' codec can't decode byte 0xff")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_rational_flags_take_the_twist_integer_grammar(capsys):
+    # Fraction() alone reads "1_0" as 10, "\u0661" (Arabic-Indic one) and
+    # " 1" as 1, and "0.5" as 1/2
+    for text in ("1_0", "\u0661", " 1", "0.5"):
+        code, out, err = invoke_err(capsys, "ztilt", "--variety", "q3", "S",
+                                    "--alpha", text, "--beta", "0")
+        assert (code, out) == (2, ""), text
+        assert err.endswith(f"invalid rational value: {text!r}\n"), text
+        assert err.count("\n") == 1
+    for text, beta in (("-1/2", "-1/2"), ("+3", "3"), ("06/4", "3/2")):
+        code, out = invoke(capsys, "ztilt", "--variety", "q3", "S",
+                           "--alpha", "1", "--beta", text)
+        assert code == 0 and f"beta: {beta}\n" in out, text
+
+
 def test_output_independent_of_hash_seed():
-    src = str(Path(__file__).resolve().parent.parent / "src")
     commands = (["classify", "S", "--json"], ["orth"], ["fullness"],
                 ["walls", "1,0,-1", "--json"], ["alpha-range", "--beta", "-1/2"],
                 ["svg", "1,0,-1"])
     for argv in commands:
         outs = []
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
             proc = subprocess.run(
                 [sys.executable, "-m", "kustab.cli", *argv, "--variety", "q3"],
                 env=env, capture_output=True, check=True)
@@ -370,10 +413,9 @@ print(h.hexdigest())
 
 
 def test_library_output_independent_of_hash_seed():
-    src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
         proc = subprocess.run([sys.executable, "-c", _LIBRARY_DIGEST], env=env,
                               capture_output=True, check=True)
         outs.append(proc.stdout)

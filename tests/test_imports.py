@@ -1,10 +1,14 @@
-"""Every kustab module uses each name it imports, every private module-level
-function and class-body method has a reader, the package exports exactly the
-names its __init__ imports, only variety reads a variety's integer pairing
+"""Every kustab module uses each name it imports and imports only the
+standard library, every private module-level function and class-body method
+has a reader, the package exports exactly the names its __init__ imports,
+the console script resolves, only variety reads a variety's integer pairing
 form ._form, and only variety and walls read its lattice denominators
 .denoms (no linter needed)."""
 
 import ast
+import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +51,38 @@ def test_unused_import_check_flags_an_orphan():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of absolute imports outside the standard library."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return [n for n in names if n not in sys.stdlib_module_names]
+
+
+def test_stdlib_import_check_flags_an_orphan():
+    source = ('from __future__ import annotations\nimport os.path, sympy\n'
+              'from fractions import Fraction\nfrom . import exact\n'
+              'from .variety import ChernVector\nfrom sympy.matrices import Matrix\n')
+    assert non_stdlib_imports(source) == ["sympy", "sympy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    # kustab has no runtime dependencies
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_console_script_resolves():
+    # read with a regex: tomllib needs Python 3.11, and CI also runs 3.10
+    text = (SRC.parent.parent / "pyproject.toml").read_text()
+    module, name = re.search(
+        r'^kustab = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def unread_private_functions(sources: list[str]) -> list[str]:

@@ -15,11 +15,10 @@ from kustab.semiorth import (ClassReport, Collection, classify_class,
                              right_orthogonal, serre_on_residual, sod_project)
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
                             euler_pairing, exp_twist, get_preset, in_lattice,
-                            line_bundle_class, serre_inverse_class,
-                            to_lattice_coords)
+                            line_bundle_class, serre_inverse_class)
 
-from oracles import (classify_by_projection, hilbert_q3, rank2_model,
-                     solve_upper_triangular)
+from oracles import (box_class, box_coords, classify_by_projection,
+                     hilbert_q3, rank2_model, solve_upper_triangular)
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
@@ -57,8 +56,8 @@ def test_right_orthogonal_p4_full_block_empty():
 def test_right_orthogonal_y4_rank_two_contains_spinor():
     basis = right_orthogonal(Y4, block(Y4))
     assert len(basis) == 2
-    rows = [to_lattice_coords(Y4, b) for b in basis]
-    with_spinor = rows + [to_lattice_coords(Y4, SPINOR_CLASS)]
+    rows = [box_coords(Y4.denoms, b) for b in basis]
+    with_spinor = rows + [box_coords(Y4.denoms, SPINOR_CLASS)]
     assert hnf_rows(with_spinor) == hnf_rows(rows)
 
 
@@ -129,7 +128,7 @@ def test_sod_project_idempotent_and_orthogonal():
     rng = random.Random(77)
     c = block(Q3)
     for _ in range(50):
-        v = ChernVector([Fraction(rng.randint(-6, 6), d) for d in Q3.denoms])
+        v = ChernVector(box_class(rng, Q3.denoms, 6))
         p = sod_project(Q3, c, v)
         assert sod_project(Q3, c, p) == p
         for e in c.members:
@@ -300,7 +299,7 @@ def test_classify_matches_projection_oracle():
     seen = Counter()
 
     def lattice_class(x):
-        return ChernVector([Fraction(rng.randint(-2, 2), d) for d in x.denoms])
+        return ChernVector(box_class(rng, x.denoms, 2))
 
     for _ in range(240):
         x = rng.choice(varieties)
@@ -388,7 +387,7 @@ def _collections():
     rng = random.Random(4711)
     for _ in range(150):
         x = rng.choice((Q3, P4, Y4, Y2))
-        mem = [ChernVector([Fraction(rng.randint(-2, 2), d) for d in x.denoms])
+        mem = [ChernVector(box_class(rng, x.denoms, 2))
                for _ in range(rng.randint(1, x.dim))]
         if rng.random() < 0.2:
             mem.append(rng.choice(mem))
@@ -462,7 +461,7 @@ def test_fullness_generator_check_matches_pairing_oracle():
 
         gens = [zero, combination(), combination() * Fraction(1, 2),
                 combination() + rng.choice(c.members),
-                ChernVector([Fraction(rng.randint(-3, 3), d) for d in x.denoms]),
+                ChernVector(box_class(rng, x.denoms, 3)),
                 ChernVector([Fraction(rng.randint(-3, 3), 2 * d)
                              for d in x.denoms])]
         gens += [b * Fraction(1, 2) for b in basis]

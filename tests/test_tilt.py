@@ -20,7 +20,7 @@ from kustab.variety import (PRESETS, SPINOR_CLASS, SPINOR_VARIETIES,
                             ChernVector, VarietyDesc, euler_pairing,
                             exp_twist, get_preset, line_bundle_class)
 
-from oracles import euler_closed_sum, tilt_re_im, tilt_slopes
+from oracles import box_class, euler_closed_sum, tilt_re_im, tilt_slopes
 
 Q3 = get_preset("q3")
 Y4 = get_preset("y4")
@@ -40,7 +40,7 @@ def members(x, count=None):
 
 
 def _random_class(rng, x=Q3):
-    return ChernVector([Fraction(rng.randint(-6, 6), d) for d in x.denoms])
+    return ChernVector(box_class(rng, x.denoms, 6))
 
 
 def test_charge_h_examples():

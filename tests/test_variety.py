@@ -8,14 +8,17 @@ from math import factorial
 
 import pytest
 
+from kustab.config import variety_from_dict
 from kustab.exact import DomainError, RatMatrix
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
-                            euler_pairing, exp_twist, get_preset,
-                            gram_matrix, in_lattice, line_bundle_class,
-                            serre_class, serre_inverse_class, serre_numeric)
+                            _lattice_coords, euler_pairing, exp_twist,
+                            from_lattice_coords, get_preset, gram_matrix,
+                            in_lattice, line_bundle_class, serre_class,
+                            serre_inverse_class, serre_numeric)
 
-from oracles import (chern_y2, chern_y4, euler_closed_sum, hilbert_p4,
-                     hilbert_q3, series_mul, todd_from_chern_3fold, todd_p4)
+from oracles import (box_class, box_coords, chern_y2, chern_y4,
+                     euler_closed_sum, hilbert_p4, hilbert_q3, series_mul,
+                     todd_from_chern_3fold, todd_p4)
 
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
@@ -25,7 +28,7 @@ PRESET_LIST = [P4, Q3, Y4, Y2]
 
 
 def _random_lattice_class(rng, x):
-    return ChernVector([Fraction(rng.randint(-6, 6), d) for d in x.denoms])
+    return ChernVector(box_class(rng, x.denoms, 6))
 
 
 def _oracle_varieties():
@@ -313,6 +316,41 @@ def test_in_lattice_examples():
     assert in_lattice(Q3, SPINOR_CLASS)
     assert in_lattice(Q3, ChernVector([0, 0, Fraction(1, 2), 0]))
     assert not in_lattice(Q3, ChernVector([0, 0, Fraction(1, 4), 0]))
+
+
+def test_lattice_coords_match_box_oracle():
+    # variety's box rule against oracles.box_coords on seeded classes, full
+    # and truncated, on and off the lattice, on every preset, P2, P1, the
+    # README's config X and W (Q3's data with c2 in Z/4); from_lattice_coords
+    # inverts it
+    x_config = variety_from_dict({
+        "name": "X", "dim": 3, "degree": 2, "index": 3,
+        "todd": ["1", "3/2", "13/12", "1/2"], "denoms": [1, 1, 2, 12],
+        "low_deg_H_generated": True})
+    w = VarietyDesc(name="W", dim=3, degree=2, index=3, todd=Q3.todd,
+                    denoms=(1, 1, 4, 12))
+    rng = random.Random(3121)
+    seen = set()
+    for _ in range(4000):
+        x = rng.choice([*_oracle_varieties(), x_config, w])
+        n = rng.randint(min(3, x.dim + 1), x.dim + 1)
+        kind = rng.randrange(3)
+        if kind == 2:
+            v = ChernVector(_random_rational_class(rng, n - 1))
+        else:
+            coeffs = box_class(rng, x.denoms[:n], 6)
+            if kind == 1:       # k/lambda + 1/(m lambda) is off the lattice
+                i = rng.randrange(n)
+                coeffs[i] += Fraction(1, rng.choice((2, 3, 5)) * x.denoms[i])
+            v = ChernVector(coeffs)
+        want = box_coords(x.denoms, v)
+        assert _lattice_coords(x, v) == want, (x.name, v)
+        if n == x.dim + 1:
+            assert in_lattice(x, v) == (want is not None)
+        if want is not None:
+            assert from_lattice_coords(x, want) == v
+        seen.add((x.name, n == x.dim + 1, want is None))
+    assert len(seen) == 4 * 9 - 4, sorted(seen)    # no truncation on P1, P2
 
 
 def test_descriptor_warnings_for_inconsistent_data():

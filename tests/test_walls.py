@@ -19,9 +19,9 @@ from kustab.walls import (_SCAN_BUDGET, _VIOLATION_RANK, BetaZero, _k1_range,
                           first_interval_violation, nowall_certificate,
                           wall_circle, wall_scan)
 
-from oracles import (beta_zero_parts, discriminant, enumerate_walls,
-                     floor_a_plus_b_sqrt, sign_a_plus_b_sqrt, wall_equation,
-                     weak_charge, weak_slope)
+from oracles import (beta_zero_parts, box_coords, discriminant,
+                     enumerate_walls, floor_a_plus_b_sqrt, sign_a_plus_b_sqrt,
+                     wall_equation, weak_charge, weak_slope)
 
 Q3 = get_preset("q3")
 SPINOR_TRUNC = ChernVector([2, -1, 0])
@@ -242,7 +242,7 @@ def test_degree_number_readings_match_fraction_oracle():
 
 def _expected_message(x, v):
     """beta_zero's DomainError message for v from Fractions, None if valid."""
-    if not all((c * lam).denominator == 1 for c, lam in zip(v, x.denoms)):
+    if box_coords(x.denoms, v) is None:
         return "class not in lattice"
     if v[0] <= 0:
         return "rank not positive"
