@@ -15,14 +15,12 @@ from .semiorth import (ClassReport, Collection, FullnessVerdict,
                        serre_on_residual, sod_project)
 from .tilt import (AlphaInterval, BlmsReport, Charge, ExtSlope, HeartVerdict,
                    TiltParams, alpha_range, blms_check, charge_h, charge_tilt,
-                   discriminant_h, heart_case, slope_h, slope_tilt,
-                   zero_charge_class)
+                   heart_case, slope_h, slope_tilt)
 from .variety import (PRESETS, SPINOR_CLASS, ChernVector, VarietyDesc,
                       euler_pairing, exp_twist, get_preset, gram_matrix,
-                      in_lattice, line_bundle_class, serre_class,
-                      serre_inverse_class, serre_numeric)
+                      in_lattice, line_bundle_class, serre_numeric)
 from .walls import (BetaZero, NoWallCertificate, WallCircle, beta_zero,
-                    nowall_certificate, wall_circle, wall_scan)
+                    nowall_certificate, wall_scan)
 
 __version__ = "0.1.0"
 
@@ -32,11 +30,9 @@ __all__ = [
     "FullnessVerdict", "HeartVerdict", "NoWallCertificate", "PRESETS",
     "QuadNumber", "RatMatrix", "SPINOR_CLASS", "TiltParams", "VarietyDesc",
     "WallCircle", "alpha_range", "beta_zero", "blms_check", "charge_h",
-    "charge_tilt", "classify_class", "discriminant_h", "euler_pairing",
-    "exp_twist", "fullness_report", "get_preset", "gram_matrix",
-    "heart_case", "in_lattice", "is_numerically_exceptional",
-    "line_bundle_class", "nowall_certificate", "right_orthogonal",
-    "serre_class", "serre_inverse_class", "serre_numeric",
-    "serre_on_residual", "slope_h", "slope_tilt", "sod_project",
-    "wall_circle", "wall_scan", "zero_charge_class",
+    "charge_tilt", "classify_class", "euler_pairing", "exp_twist",
+    "fullness_report", "get_preset", "gram_matrix", "heart_case",
+    "in_lattice", "is_numerically_exceptional", "line_bundle_class",
+    "nowall_certificate", "right_orthogonal", "serre_numeric",
+    "serre_on_residual", "slope_h", "slope_tilt", "sod_project", "wall_scan",
 ]

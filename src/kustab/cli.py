@@ -55,6 +55,17 @@ def _rational(text: str) -> Fraction:
             f"invalid rational value: {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    # --shift: the twist grammar, so every number the CLI reads has one
+    try:
+        if not re.fullmatch(_INTEGER, text):
+            raise ValueError(text)
+        return int(text)        # ValueError past the integer digit limit too
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer value: {text!r}") from None
+
+
 def parse_class(token: str, x: VarietyDesc, truncated: bool = False) -> ChernVector:
     """Resolve a class token: "O", "O(k)", "S", or comma-separated rationals.
 
@@ -301,7 +312,7 @@ _ARGUMENTS = {
     "--alpha": dict(type=_rational, required=True),
     "--beta": dict(type=_rational, required=True),
     "--mu": dict(type=_rational, default=Fraction(0)),
-    "--shift": dict(type=int, default=0),
+    "--shift": dict(type=_integer, default=0),
     "--max-rank": dict(type=_rational, default=Fraction(3)),
     "--max-c1": dict(type=_rational, default=Fraction(3)),
     "--beta-min": dict(type=_rational, default=Fraction(-4)),

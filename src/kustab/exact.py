@@ -6,7 +6,8 @@ hnf_rows is the one elimination: integer kernels, span and rank tests and
 _reduced read it, and rref and _solve, the one solve on int or Fraction
 rows, read _reduced.  No floating point enters any decision path, and no
 approximation is used anywhere.  The one floor of a quadratic number, for
-QuadNumber.floor and the wall scan, is _qfloor on integers.
+QuadNumber.floor, the wall scan and svg's square roots, is _qfloor on
+integers.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ all decisions have been made exactly.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
@@ -22,7 +23,11 @@ _TICK_BUDGET = 4096  # integer beta ticks a viewport may hold
 def _trunc6(q: Fraction) -> str:
     """Fixed 6-decimal string of a rational, truncated toward zero."""
     n = abs(q.numerator) * 10 ** 6 // q.denominator
-    s = f"{n // 10 ** 6}.{n % 10 ** 6:06d}"
+    try:
+        s = f"{n // 10 ** 6}.{n % 10 ** 6:06d}"
+    except ValueError:      # an integer past the str conversion limit
+        raise DomainError("svg coordinate needs an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     return "-" + s if q < 0 and n else s
 
 
@@ -38,8 +43,9 @@ def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
     viewport maps beta_min, beta_max, alpha_max to rationals.  Every wall
     must be a circle, as wall_scan returns; it becomes an upper semicircular
     path with its witnesses in a title element.  DomainError is raised for
-    a wall of another kind and when the viewport holds more than
-    _TICK_BUDGET integer beta ticks.
+    a wall of another kind, when the viewport holds more than _TICK_BUDGET
+    integer beta ticks and when a coordinate needs an integer past the str
+    conversion limit.
     """
     beta_min = rat(viewport["beta_min"])
     beta_max = rat(viewport["beta_max"])

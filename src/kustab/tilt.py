@@ -80,11 +80,10 @@ class ExtSlope:
         return "inf" if self.is_infinite else str(self.value)
 
 
-def charge_h(x: VarietyDesc, v: ChernVector, shift: int = 0) -> Charge:
-    """Z_H = -c_1 H^{n-1} + i c_0 H^n, times (-1)^shift."""
+def charge_h(x: VarietyDesc, v: ChernVector) -> Charge:
+    """Z_H = -c_1 H^{n-1} + i c_0 H^n."""
     m, c0, c1, _ = _truncated(v)
-    d = (-1) ** (shift % 2) * x.degree
-    return Charge(Fraction(-d * c1, m), Fraction(d * c0, m))
+    return Charge(Fraction(-x.degree * c1, m), Fraction(x.degree * c0, m))
 
 
 def _slope(num: int, den: int) -> ExtSlope:
@@ -127,12 +126,6 @@ def slope_tilt(x: VarietyDesc, v: ChernVector, p: TiltParams) -> ExtSlope:
                   * p.beta.denominator * i)
 
 
-def discriminant_h(x: VarietyDesc, v: ChernVector) -> Fraction:
-    """Delta_H = (c_1 H^{n-1})^2 - 2 (c_0 H^n)(c_2 H^{n-2})."""
-    m, c0, c1, c2 = _truncated(v)
-    return Fraction(x.degree ** 2 * (c1 * c1 - 2 * c0 * c2), m * m)
-
-
 @dataclass(frozen=True)
 class SlopeCheck:
     name: str
@@ -144,7 +137,6 @@ class SlopeCheck:
 @dataclass(frozen=True)
 class HeartVerdict:
     case_id: int | None      # 1..4, or None for not-in-heart
-    shift_of_sheaf: int
     slope_checks: tuple[SlopeCheck, ...]
 
     @property
@@ -191,21 +183,7 @@ def _heart(c0: int, c1: int, c2: int, shift: int,
                    p.beta, signs[0] == h_gt),
         SlopeCheck(f"mu_tilt {'>' if t_gt else '<='} mu", _slope(-r, den),
                    p.mu, signs[1] == t_gt))
-    return HeartVerdict(case_id=case if held else None, shift_of_sheaf=shift,
-                        slope_checks=checks)
-
-
-def zero_charge_class(x: VarietyDesc, v: ChernVector) -> bool:
-    """True iff Z_{alpha,beta}(v) = 0 for all parameters, i.e. c0 = c1 = c2 = 0.
-
-    Requires the descriptor flag that low-degree cohomology is generated by
-    H; under it a heart object with vanishing charge is a sheaf supported in
-    codimension at least 3.
-    """
-    if not x.low_deg_H_generated:
-        raise DomainError("hypothesis not satisfied")
-    _, c0, c1, c2 = _truncated(v)
-    return c0 == c1 == c2 == 0
+    return HeartVerdict(case_id=case if held else None, slope_checks=checks)
 
 
 # -- induced stability check --------------------------------------------------

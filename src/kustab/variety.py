@@ -234,17 +234,6 @@ def _serre_matrix(g, message: str) -> RatMatrix:
         [[*r, *col] for r, col in zip(g, zip(*g))], len(g), message))
 
 
-def serre_class(x: VarietyDesc, v: ChernVector) -> ChernVector:
-    """Numerical Serre action: v -> (-1)^n * v * e^{-rH}."""
-    sign = Fraction(-1) ** x.dim
-    return sign * exp_twist(x.check_class(v), -x.index)
-
-
-def serre_inverse_class(x: VarietyDesc, v: ChernVector) -> ChernVector:
-    sign = Fraction(-1) ** x.dim
-    return sign * exp_twist(x.check_class(v), x.index)
-
-
 def serre_numeric(x: VarietyDesc) -> RatMatrix:
     """Matrix S with chi(v, S w) = chi(w, v), the solution of G S = G^T.
 

@@ -30,10 +30,11 @@ k_2, is one floor of (A + B sqrt(N)) / C with integers A, B, C, taken by
 exact._qfloor, or a plain division for the B = 0 of the two discriminants.
 The certificate and the violation search read _line too; beta_zero only
 builds the QuadNumbers it returns.  _locus gives the wall of v and w as
-integers (C0, C1, C2) from integer truncations, and _wall alone decides its
-kind; wall_scan takes v's once from _line, deduplicates on the primitive
-triple (C0, C1, C2) / g and builds Fractions once per distinct circle.  A
-scan box of more than _SCAN_BUDGET lattice pairs (k0, k1) is refused with
+integers (C0, C1, C2) from integer truncations.  Every wall wall_scan keeps
+crosses the beta_0 line at alpha > 0, so it is a circle; the scan takes v's
+truncation once from _line, deduplicates on the primitive triple
+(C0, C1, C2) / g and builds Fractions once per distinct circle.  A scan
+box of more than _SCAN_BUDGET lattice pairs (k0, k1) is refused with
 DomainError.
 """
 
@@ -69,10 +70,9 @@ class NoWallCertificate:
 class WallCircle:
     """Solution locus of a tilt-slope equality in the half plane alpha > 0."""
 
-    kind: str                           # circle | vertical-line | empty | degenerate
-    center_beta: Fraction | None = None
-    radius_sq: Fraction | None = None
-    line_beta: Fraction | None = None
+    kind: str                           # "circle" for every wall of wall_scan
+    center_beta: Fraction
+    radius_sq: Fraction
     witnesses: tuple[ChernVector, ...] = field(default=(), compare=False)
 
 
@@ -154,45 +154,15 @@ def first_interval_violation(x: VarietyDesc, v: ChernVector):
     return None
 
 
-def wall_circle(x: VarietyDesc, v: ChernVector, w: ChernVector) -> WallCircle:
-    """Exact locus of mu_{alpha,beta}(v) = mu_{alpha,beta}(w), alpha > 0.
-
-    The cross-multiplied equality reduces to
-
-        C0 (alpha^2 + beta^2) + C1 beta + C2 = 0,
-
-    a semicircle centered on the beta axis when C0 != 0 (empty when the
-    squared radius is not positive), a vertical line when only C1 != 0,
-    empty when only C2 != 0, and degenerate (equal slopes everywhere)
-    exactly when the truncations are proportional; the coefficients come
-    from the integer truncations of v and w (_locus).
-    """
-    if not any(v.coeffs[:3]) or not any(w.coeffs[:3]):
-        raise DomainError("zero truncated class")
-    return _wall(*_locus(_truncated(v)[1:], _truncated(w)[1:]), (w,))
-
-
 def _locus(a, b) -> tuple[int, int, int]:
-    """(C0, C1, C2) of the wall of v and w from integer truncations.
+    """(C0, C1, C2) of the wall C0 (alpha^2 + beta^2) + C1 beta + C2 = 0 of v, w.
 
     C0 = A0 B1 - A1 B0, C1 = 2 (A2 B0 - A0 B2), C2 = 2 (A1 B2 - A2 B1) for
     a = (A0, A1, A2) = M v and b = (B0, B1, B2) = P w with M, P > 0: these
-    are the cross-multiplied charges times 2 / (d^2 M P) > 0.
+    are the cross-multiplied charges of v and w times 2 M P / d^2 > 0.
     """
     (a0, a1, a2), (b0, b1, b2) = a, b
     return a0 * b1 - a1 * b0, 2 * (a2 * b0 - a0 * b2), 2 * (a1 * b2 - a2 * b1)
-
-
-def _wall(c0, c1, c2, witnesses) -> WallCircle:
-    """The WallCircle of C0 (alpha^2 + beta^2) + C1 beta + C2 = 0, alpha > 0."""
-    disc = c1 * c1 - 4 * c0 * c2    # radius^2 = disc / (4 C0^2)
-    if c0 != 0 and disc > 0:
-        return WallCircle("circle", center_beta=Fraction(-c1, 2 * c0),
-                          radius_sq=Fraction(disc, 4 * c0 * c0), witnesses=witnesses)
-    if c0 == 0 and c1 != 0:
-        return WallCircle("vertical-line", line_beta=Fraction(-c2, c1),
-                          witnesses=witnesses)
-    return WallCircle("empty" if c0 or c2 else "degenerate", witnesses=witnesses)
 
 
 def _k1_range(denoms, line, k0: int) -> tuple[int, int]:
@@ -283,9 +253,11 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
                 key = (c0 // g, c1 // g, c2 // g)
                 walls.setdefault(key, []).append((k0, k1, k2))
     out = []
-    for key, ks in walls.items():
+    for (c0, c1, c2), ks in walls.items():
         # every lam_i > 0: the order of the integer (k0, k1, k2) is that of w.coeffs
         wits = tuple(ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
                                   Fraction(k2, lam2)]) for k0, k1, k2 in sorted(ks))
-        out.append(_wall(*key, wits))
+        out.append(WallCircle("circle", center_beta=Fraction(-c1, 2 * c0),
+                              radius_sq=Fraction(c1 * c1 - 4 * c0 * c2, 4 * c0 * c0),
+                              witnesses=wits))
     return sorted(out, key=lambda w: (w.center_beta, w.radius_sq))

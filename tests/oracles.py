@@ -293,11 +293,10 @@ def degree_numbers(d, v):
     return tuple(Fraction(c) * d for c in v[:3])
 
 
-def weak_charge(d, v, shift):
-    """(Re, Im) of Z_H = -c_1 H^(n-1) + i c_0 H^n, times (-1)^shift."""
+def weak_charge(d, v):
+    """(Re, Im) of Z_H = -c_1 H^(n-1) + i c_0 H^n."""
     a0, a1, _ = degree_numbers(d, v)
-    sign = -1 if shift % 2 else 1
-    return -sign * a1, sign * a0
+    return -a1, a0
 
 
 def weak_slope(d, v):

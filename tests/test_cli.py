@@ -328,6 +328,37 @@ def test_config_shapes_exit_three(tmp_path, capsys):
         assert got == (3, "", f"error: {message}\n"), doc
 
 
+_RECORD = {"name": "X", "dim": 3, "degree": 2, "index": 3,
+           "todd": ["1", "3/2", "13/12", "1/2"], "denoms": [1, 1, 2, 12]}
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({"varieties": [{k: v for k, v in _RECORD.items() if k != "dim"}]}, (),
+     "config variety missing field 'dim'"),
+    ({"varieties": [_RECORD, dict(_RECORD, name="x")]}, (),
+     "duplicate variety name: x"),
+    ({"default_variety": "Z", "varieties": [_RECORD]}, (),
+     "unknown default variety: z"),
+    ({"varieties": [dict(_RECORD, degree=0)]}, (),
+     "dimension and degree must be positive"),
+    ({"varieties": [dict(_RECORD, todd=["1", "3/2", "13/12"])]}, (),
+     "todd and denoms must have length dim + 1"),
+    ({"varieties": [dict(_RECORD, denoms=[1, 1, 0, 12])]}, (),
+     "denominators must be positive"),
+    (None, ("ztilt", "S", "--alpha", "0", "--beta", "0"),
+     "alpha must be positive"),
+], ids=["missing-field", "duplicate-name", "unknown-default", "degree",
+        "todd-length", "denominator", "alpha"])
+def test_reachable_domain_errors_exit_three(doc, argv, message, tmp_path, capsys):
+    # each of these errors is one line on stderr and exit 3
+    argv = list(argv or ("chi", "O", "O"))
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv += ["--config", str(cfg)]
+    assert invoke_err(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 def test_config_number_past_the_digit_limit_exits_three(tmp_path):
     # json.load raises a plain ValueError on a 5000-digit integer; it is a
     # one-line domain error, not a traceback
@@ -340,6 +371,20 @@ def test_config_number_past_the_digit_limit_exits_three(tmp_path):
     assert proc.stderr == ("error: config number has more than "
                            f"{sys.get_int_max_str_digits()} digits\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_svg_past_the_digit_limit_exits_three(tmp_path):
+    # a beta far from the circles puts an integer past the str conversion
+    # limit into a coordinate; it is a one-line domain error, and --out
+    # writes no file
+    limit = sys.get_int_max_str_digits()
+    big, atlas = "9" * (limit - 1), tmp_path / "atlas.svg"
+    proc = invoke_process("svg", "--variety", "q3", "1,0,-1", "--beta-min", big,
+                          "--beta-max", big + "1/10", "--out", str(atlas))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("error: svg coordinate needs an integer of more "
+                           f"than {limit} digits\n")
+    assert not atlas.exists()
 
 
 def test_twist_takes_a_sign_and_ascii_digits_only(capsys):
@@ -378,6 +423,18 @@ def test_rational_flags_take_the_twist_integer_grammar(capsys):
         code, out = invoke(capsys, "ztilt", "--variety", "q3", "S",
                            "--alpha", "1", "--beta", text)
         assert code == 0 and f"beta: {beta}\n" in out, text
+    # --shift takes the integer alone: int() also reads "0_1" and "\u0661" as 1
+    for text in ("0_1", "\u0661", " 1", "1/1", "9" * 5000):
+        code, out, err = invoke_err(capsys, "heart", "--variety", "q3", "S",
+                                    "--alpha", "1/4", "--beta", "-1/2",
+                                    "--shift", text)
+        assert (code, out) == (2, ""), text[:8]
+        assert err == ("usage error: argument --shift: invalid integer "
+                       f"value: {text!r}\n"), text[:8]
+    for text, shift in (("+1", "1"), ("-0", "0"), ("01", "1")):
+        code, out = invoke(capsys, "ztilt", "--variety", "q3", "S",
+                           "--alpha", "1", "--beta", "0", "--shift", text)
+        assert code == 0 and f"shift: {shift}\n" in out, text
 
 
 def test_output_independent_of_hash_seed():
@@ -464,8 +521,8 @@ def test_render_walls_svg_unit():
     assert render_walls_svg([], {"beta_min": -2, "beta_max": 2,
                                  "alpha_max": 2}) == empty
     # only circles are drawn; any other kind is refused, not skipped
-    for wall in (WallCircle(kind="vertical-line", line_beta=Fraction(0)),
-                 WallCircle(kind="empty"), WallCircle(kind="degenerate")):
+    for wall in (WallCircle(kind, Fraction(0), Fraction(1))
+                 for kind in ("vertical-line", "empty", "degenerate")):
         with pytest.raises(DomainError, match=f"^cannot draw a {wall.kind} wall$"):
             render_walls_svg([wall], {"beta_min": -2, "beta_max": 2,
                                       "alpha_max": 2})

@@ -1,7 +1,8 @@
 """Every kustab module uses each name it imports and imports only the
 standard library, every private module-level function and class-body method
-has a reader, the package exports exactly the names its __init__ imports,
-the console script resolves, only variety reads a variety's integer pairing
+has a reader, every exported name and public function has a reader outside
+the tests, the package exports exactly the names its __init__ imports, the
+console script resolves, only variety reads a variety's integer pairing
 form ._form, and only variety and walls read its lattice denominators
 .denoms (no linter needed)."""
 
@@ -85,15 +86,20 @@ def test_console_script_resolves():
     assert callable(getattr(importlib.import_module(module), name))
 
 
+def name_reads(tree) -> list[tuple[int, str]]:
+    """(node id, name) of every name read and attribute access in a tree."""
+    return [(id(n), n.id if isinstance(n, ast.Name) else n.attr)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)]
+
+
 def unread_private_functions(sources: list[str]) -> list[str]:
     """Module-level functions and class-body methods named _x that no code
     outside their own body reads, by name or as an attribute, in any of the
     sources; a method is reported as Class._x."""
     trees = [ast.parse(source) for source in sources]
-    reads = [(id(n), n.id if isinstance(n, ast.Name) else n.attr)
-             for tree in trees for n in ast.walk(tree)
-             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-             or isinstance(n, ast.Attribute)]
+    reads = [read for tree in trees for read in name_reads(tree)]
     defs = [("", node) for tree in trees for node in tree.body]
     defs += [(f"{cls.name}.", node) for tree in trees for cls in tree.body
              if isinstance(cls, ast.ClassDef) for node in cls.body]
@@ -124,6 +130,58 @@ def test_private_function_check_flags_an_orphan():
 def test_every_private_function_has_a_reader():
     assert unread_private_functions(
         [p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
+
+
+def unread_public_names(names, src: dict[str, str], bench: list[str],
+                        readme: str) -> list[str]:
+    """The names, plus every public module-level function of the src
+    modules (file name -> source), that nothing reads: no name or attribute
+    read in a src module other than __init__.py outside the name's own
+    definition, no such read in the bench sources, no mention in the README.
+    A string is not a read."""
+    trees = {name: ast.parse(source) for name, source in src.items()}
+    names, own = set(names), {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own.setdefault(node.name, set()).update(map(id, ast.walk(node)))
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    names.add(node.name)
+    reads = [read for file, tree in trees.items() if file != "__init__.py"
+             for read in name_reads(tree)]
+    bench_reads = {name for source in bench
+                   for _, name in name_reads(ast.parse(source))}
+    return sorted(name for name in names
+                  if not any(r == name and n not in own.get(name, ())
+                             for n, r in reads)
+                  and name not in bench_reads
+                  and not re.search(rf"\b{re.escape(name)}\b", readme))
+
+
+def test_public_name_check_flags_an_orphan():
+    src = {"__init__.py": "from .m import orphan, used_in_src, Exported\n",
+           "m.py": ("def orphan():\n    return orphan()\n"
+                    "def used_in_src():\n    return 1\n"
+                    "def in_bench():\n    pass\n"
+                    "def in_readme():\n    pass\n"
+                    "def _private():\n    return used_in_src()\n"
+                    "class Exported:\n    pass\n"
+                    "KEY = 'm.in_string'\n"
+                    "def in_string():\n    pass\n")}
+    bench = ["import m\nm.in_bench()\n"]
+    assert unread_public_names(
+        ["orphan", "used_in_src", "Exported"], src, bench,
+        "call `in_readme` once") == ["Exported", "in_string", "orphan"]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    import kustab
+
+    bench = sorted((SRC.parent.parent / "bench").glob("*.py"))
+    assert unread_public_names(
+        kustab.__all__, {p.name: p.read_text() for p in SRC.glob("*.py")},
+        [p.read_text() for p in bench],
+        (SRC.parent.parent / "README.md").read_text()) == []
 
 
 def test_package_all_matches_its_imports():

@@ -15,7 +15,7 @@ from kustab.semiorth import (ClassReport, Collection, classify_class,
                              right_orthogonal, serre_on_residual, sod_project)
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
                             euler_pairing, exp_twist, get_preset, in_lattice,
-                            line_bundle_class, serre_inverse_class)
+                            line_bundle_class)
 
 from oracles import (box_class, box_coords, classify_by_projection,
                      hilbert_q3, rank2_model, solve_upper_triangular)
@@ -217,7 +217,8 @@ def test_rank2_residual_model_y4_is_genus_two():
 
 def test_induced_serre_y4_fixes_spinor_line_with_sign():
     c = block(Y4)
-    img = sod_project(Y4, c, serre_inverse_class(Y4, SPINOR_CLASS))
+    # the inverse Serre action on a threefold: v -> -exp_twist(v, index)
+    img = sod_project(Y4, c, -exp_twist(SPINOR_CLASS, Y4.index))
     assert img == -SPINOR_CLASS
 
 
@@ -420,8 +421,8 @@ def test_serre_on_residual_matches_projection_oracle():
         # oracle: T has the basis coordinates of P(S^-1 b) as columns
         bmat = RatMatrix.from_rows(
             [[b[i] for b in basis] for i in range(x.dim + 1)])
-        cols = [bmat.solve(sod_project(x, c, serre_inverse_class(x, b)))
-                for b in basis]
+        cols = [bmat.solve(sod_project(
+                    x, c, (-1) ** x.dim * exp_twist(b, x.index))) for b in basis]
         t = RatMatrix.from_rows(zip(*cols))
         assert s @ t == RatMatrix.identity(len(basis)), mem
         for j, bj in enumerate(basis):

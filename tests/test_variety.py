@@ -13,8 +13,7 @@ from kustab.exact import DomainError, RatMatrix
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
                             _lattice_coords, euler_pairing, exp_twist,
                             from_lattice_coords, get_preset, gram_matrix,
-                            in_lattice, line_bundle_class, serre_class,
-                            serre_inverse_class, serre_numeric)
+                            in_lattice, line_bundle_class, serre_numeric)
 
 from oracles import (box_class, box_coords, chern_y2, chern_y4,
                      euler_closed_sum, hilbert_p4, hilbert_q3, series_mul,
@@ -267,8 +266,10 @@ def test_serre_matrix_matches_twist_formula():
     for x in PRESET_LIST:
         s = serre_numeric(x)
         n = x.dim
-        cols = [serre_class(x, ChernVector([Fraction(i == k)
-                                            for i in range(n + 1)]))
+        # the twist formula v -> (-1)^n exp_twist(v, -index) on the basis H^k
+        cols = [(-1) ** n * exp_twist(ChernVector([Fraction(i == k)
+                                                   for i in range(n + 1)]),
+                                      -x.index)
                 for k in range(n + 1)]
         expected = RatMatrix.from_rows(
             [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)])
@@ -289,16 +290,19 @@ def test_serre_compatibility_random_pairs():
 
 
 def test_serre_inverse_roundtrip():
+    # the inverse Serre matrix is the inverse twist (-1)^n exp_twist(v, index)
     rng = random.Random(5)
     for x in PRESET_LIST:
+        s_inv = serre_numeric(x).inverse()
         for _ in range(10):
             v = _random_lattice_class(rng, x)
-            assert serre_inverse_class(x, serre_class(x, v)) == v
+            assert ChernVector(s_inv.apply(list(v))) == \
+                (-1) ** x.dim * exp_twist(v, x.index)
 
 
 def test_serre_on_spinor_classes():
     # ambient action on Q3: -exp_twist(., -3)
-    img = serre_class(Q3, SPINOR_CLASS)
+    img = ChernVector(serre_numeric(Q3).apply(list(SPINOR_CLASS)))
     assert img == -exp_twist(SPINOR_CLASS, -3)
 
 

@@ -9,15 +9,15 @@ import pytest
 
 from kustab.config import variety_from_dict
 from kustab.exact import DomainError, QuadNumber, _qfloor, is_square
-from kustab.tilt import (TiltParams, charge_h, charge_tilt, discriminant_h,
-                         heart_case, slope_h, slope_tilt, zero_charge_class)
-from kustab.variety import (PRESETS, ChernVector, VarietyDesc, exp_twist,
-                            get_preset, line_bundle_class)
+from kustab.tilt import (TiltParams, charge_h, charge_tilt, heart_case,
+                         slope_h, slope_tilt)
+from kustab.variety import (PRESETS, ChernVector, VarietyDesc, _truncated,
+                            exp_twist, get_preset, line_bundle_class)
 from kustab import walls as walls_module
 from kustab.walls import (_SCAN_BUDGET, _VIOLATION_RANK, BetaZero, _k1_range,
                           _k2_range, _line, _locus, beta_zero,
                           first_interval_violation, nowall_certificate,
-                          wall_circle, wall_scan)
+                          wall_scan)
 
 from oracles import (beta_zero_parts, box_coords, discriminant,
                      enumerate_walls, floor_a_plus_b_sqrt, sign_a_plus_b_sqrt,
@@ -120,26 +120,27 @@ def _rational_points_on_circle(center, radius_sq, count):
     return pts
 
 
+def _class_locus(v, w):
+    """_locus of two classes, read through their integer truncations."""
+    return _locus(_truncated(v)[1:], _truncated(w)[1:])
+
+
+def _circle(e0, e1, e2):
+    """(center, radius^2) of e0 (alpha^2 + beta^2) + e1 beta + e2 = 0, e0 != 0."""
+    center = Fraction(-e1, 2 * e0)
+    return center, center * center - Fraction(e2) / e0
+
+
 def test_wall_circle_line_bundles():
     v = ChernVector(line_bundle_class(Q3, 0).coeffs[:3])
     w = ChernVector(line_bundle_class(Q3, 1).coeffs[:3])
-    circle = wall_circle(Q3, v, w)
-    assert circle.kind == "circle"
-    assert circle.center_beta == Fraction(1, 2)
-    assert circle.radius_sq == Fraction(1, 4)
+    center, radius_sq = _circle(*_class_locus(v, w))
+    assert center == Fraction(1, 2)
+    assert radius_sq == Fraction(1, 4)
     # cross-check: tilt slopes agree at rational points of the circle
-    for alpha, beta in _rational_points_on_circle(
-            circle.center_beta, circle.radius_sq, 10):
+    for alpha, beta in _rational_points_on_circle(center, radius_sq, 10):
         p = TiltParams(alpha=alpha, beta=beta)
         assert slope_tilt(Q3, v, p) == slope_tilt(Q3, w, p)
-
-
-def test_wall_circle_degenerate_and_empty():
-    assert wall_circle(Q3, IRRATIONAL, 2 * IRRATIONAL).kind == "degenerate"
-    assert wall_circle(
-        Q3, ChernVector([1, 0, 0]), ChernVector([0, 1, 0])).kind == "empty"
-    with pytest.raises(DomainError, match="zero truncated class"):
-        wall_circle(Q3, ChernVector([0, 0, 0]), IRRATIONAL)
 
 
 def test_wall_circle_symmetry():
@@ -153,7 +154,8 @@ def test_wall_circle_symmetry():
                          Fraction(rng.randint(-8, 8), 2)])
         if v.is_zero() or w.is_zero():
             continue
-        assert wall_circle(Q3, v, w) == wall_circle(Q3, w, v)
+        # the same wall: (C0, C1, C2) changes sign with the order of v and w
+        assert _class_locus(w, v) == tuple(-c for c in _class_locus(v, w))
 
 
 def _random_coeff(rng, lam, off_lattice=0.4):
@@ -178,39 +180,33 @@ def _random_truncated_pair(rng, x):
     return v, ChernVector(w)
 
 
-def _oracle_locus(e0, e1, e2):
-    """(kind, center, radius^2, line) of e0 (alpha^2 + beta^2) + e1 beta + e2 = 0."""
+def _equation_kind(e0, e1, e2):
+    """The locus e0 (alpha^2 + beta^2) + e1 beta + e2 = 0 in alpha > 0."""
     if e0 == e1 == e2 == 0:
-        return "degenerate", None, None, None
+        return "degenerate"
     if e0 != 0:
-        center = -e1 / (2 * e0)
-        radius_sq = center * center - e2 / e0
-        if radius_sq > 0:
-            return "circle", center, radius_sq, None
-    elif e1 != 0:
-        return "vertical-line", None, None, -e2 / e1
-    return "empty", None, None, None
+        return "circle" if e1 * e1 > 4 * e0 * e2 else "empty"
+    return "vertical-line" if e1 != 0 else "empty"
 
 
 def test_wall_circle_matches_wall_equation_oracle():
+    # _locus is the sampled slope equality times 2 M P / d^2 > 0, on pairs
+    # whose equations cover every kind of locus
     rng = random.Random(4711)
-    kinds = {"circle": 0, "empty": 0, "vertical-line": 0, "degenerate": 0}
+    kinds = Counter()
     for _ in range(3000):
         x = rng.choice(list(PRESETS.values()))
         v, w = _random_truncated_pair(rng, x)
-        if v.is_zero() or w.is_zero():
-            continue
-        got = wall_circle(x, v, w)
-        expected = _oracle_locus(*wall_equation(x.degree, tuple(v), tuple(w)))
-        assert (got.kind, got.center_beta, got.radius_sq,
-                got.line_beta) == expected, (x.name, v, w)
-        assert got.witnesses == (w,)
-        kinds[got.kind] += 1
-    assert all(count >= 20 for count in kinds.values()), kinds
+        (m, *a), (p, *b) = _truncated(v), _truncated(w)
+        expected = wall_equation(x.degree, tuple(v), tuple(w))
+        scale = Fraction(x.degree ** 2, 2 * m * p)
+        assert tuple(scale * c for c in _locus(a, b)) == expected, (x.name, v, w)
+        kinds[_equation_kind(*expected)] += 1
+    assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
 
 
 def test_degree_number_readings_match_fraction_oracle():
-    # charge_h, slope_h, discriminant_h and beta_zero against plain-Fraction
+    # charge_h, slope_h and beta_zero against plain-Fraction
     # degree numbers; invalid classes must fail with beta_zero's message
     rng = random.Random(4712)
     seen = Counter()
@@ -218,11 +214,10 @@ def test_degree_number_readings_match_fraction_oracle():
         x = rng.choice(list(PRESETS.values()))
         v = ChernVector([_random_coeff(rng, lam, 0.1)
                          for lam in x.denoms[:rng.randint(3, x.dim + 1)]])
-        d, shift = x.degree, rng.randint(-3, 3)
-        z = charge_h(x, v, shift)
-        assert (z.re, z.im) == weak_charge(d, v, shift)
+        d = x.degree
+        z = charge_h(x, v)
+        assert (z.re, z.im) == weak_charge(d, v)
         assert slope_h(x, v).value == weak_slope(d, v)
-        assert discriminant_h(x, v) == discriminant(d, v)
         message = _expected_message(x, v)
         if message is None:
             f, mu, a0 = beta_zero_parts(d, v)
@@ -391,25 +386,18 @@ def test_nowall_certificate_builds_beta_zero_only_for_a_certificate(monkeypatch)
 
 def test_short_class_errors():
     p = TiltParams(alpha=1, beta=0)
-    short, zero = ChernVector([1, 0]), ChernVector([0, 0])
+    short = ChernVector([1, 0])
     message = "class needs at least coefficients c0, c1, c2"
     for call in (lambda v: charge_h(Q3, v), lambda v: slope_h(Q3, v),
-                 lambda v: discriminant_h(Q3, v),
                  lambda v: charge_tilt(Q3, v, 0, p),
                  lambda v: slope_tilt(Q3, v, p),
                  lambda v: heart_case(Q3, v, 0, p),
-                 lambda v: zero_charge_class(Q3, v),
-                 lambda v: beta_zero(Q3, v), lambda v: wall_scan(Q3, v, 1, 1),
-                 lambda v: wall_circle(Q3, v, IRRATIONAL),
-                 lambda v: wall_circle(Q3, IRRATIONAL, v)):
+                 lambda v: beta_zero(Q3, v), lambda v: wall_scan(Q3, v, 1, 1)):
         with pytest.raises(DomainError, match=message):
             call(short)
-    # the lattice test comes first in beta_zero, the zero test in wall_circle
+    # the lattice test comes first in beta_zero
     with pytest.raises(DomainError, match="class not in lattice"):
         beta_zero(Q3, ChernVector([Fraction(1, 2), 0]))
-    for v, w in ((zero, IRRATIONAL), (short, ChernVector([0, 0, 0, 1]))):
-        with pytest.raises(DomainError, match="zero truncated class"):
-            wall_circle(Q3, v, w)
 
 
 def test_wall_scan_spinor_empty():
@@ -557,9 +545,9 @@ def test_wall_scan_matches_enumeration_oracle(monkeypatch):
         assert {(w.center_beta, w.radius_sq): {tuple(c) for c in w.witnesses}
                 for w in got} == expected, (x.name, v, max_rank, max_c1)
         for w in got:
+            assert w.kind == "circle"
             for c in w.witnesses:
-                one = wall_circle(x, v, c)
-                assert (one.center_beta, one.radius_sq) == \
+                assert _circle(*wall_equation(x.degree, tuple(v), tuple(c))) == \
                     (w.center_beta, w.radius_sq), (x.name, v, c)
         bz = beta_zero(x, v)
         if is_square(bz.F):
@@ -629,10 +617,9 @@ def _row_by_row_scan(x, v, max_rank, max_c1):
             for k2 in _k2_range(x.denoms, line, k0, k1):
                 w = ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
                                  Fraction(k2, lam2)])
-                wc = wall_circle(x, v, w)
-                if wc.kind == "circle":
-                    found.setdefault((wc.center_beta, wc.radius_sq),
-                                     set()).add(tuple(w))
+                e0, e1, e2 = wall_equation(x.degree, tuple(v), tuple(w))
+                if e0 != 0 and e1 * e1 > 4 * e0 * e2:
+                    found.setdefault(_circle(e0, e1, e2), set()).add(tuple(w))
     return found
 
 
