@@ -5,6 +5,9 @@ encoded in the report (a failing check still exits 0), usage problems exit
 2 and domain errors exit 3.  Reports print as stable text lines or, with
 --json, as a JSON document with sorted keys; identical invocations produce
 byte-identical output.
+
+Start-up loads what every command needs; each handler imports the modules
+it runs, so one invocation loads only its own subcommand's code.
 """
 
 from __future__ import annotations
@@ -15,11 +18,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import semiorth, tilt, walls
 from .config import registry
 from .exact import DomainError, rat
 from .report import json_default, to_text_value
-from .svg import render_walls_svg
 from .variety import (SPINOR_CLASS, SPINOR_VARIETIES, ChernVector,
                       VarietyDesc, euler_pairing, gram_matrix,
                       line_bundle_class, serre_numeric)
@@ -109,7 +110,8 @@ def default_collection(x: VarietyDesc) -> list[ChernVector]:
     return [line_bundle_class(x, k) for k in range(x.index)]
 
 
-def _collection(args, x) -> semiorth.Collection:
+def _collection(args, x):
+    from . import semiorth
     if args.members:
         members = [parse_class(t, x) for t in args.members]
     else:
@@ -117,7 +119,8 @@ def _collection(args, x) -> semiorth.Collection:
     return semiorth.Collection(variety=x, members=tuple(members))
 
 
-def _tilt_params(args) -> tilt.TiltParams:
+def _tilt_params(args):
+    from . import tilt
     return tilt.TiltParams(alpha=args.alpha, beta=args.beta, mu=args.mu)
 
 
@@ -136,6 +139,7 @@ def _gram(args, x):
 
 
 def _orth(args, x):
+    from . import semiorth
     c = _collection(args, x)
     basis = semiorth.right_orthogonal(x, c)
     return {"collection": list(c.members), "rank": len(basis),
@@ -144,6 +148,7 @@ def _orth(args, x):
 
 
 def _project(args, x):
+    from . import semiorth
     c = _collection(args, x)
     v = parse_class(args.target, x)
     proj = semiorth.sod_project(x, c, v)
@@ -153,6 +158,7 @@ def _project(args, x):
 
 
 def _classify(args, x):
+    from . import semiorth
     c = _collection(args, x)
     v = parse_class(args.target, x)
     rep = semiorth.classify_class(x, c, v)
@@ -168,6 +174,7 @@ def _serre(args, x):
 
 
 def _zh(args, x):
+    from . import tilt
     v = parse_class(args.target, x)
     z = tilt.charge_h(x, v)
     return {"target": v, "re": z.re, "im": z.im,
@@ -175,6 +182,7 @@ def _zh(args, x):
 
 
 def _ztilt(args, x):
+    from . import tilt
     v = parse_class(args.target, x)
     p = _tilt_params(args)
     z = tilt.charge_tilt(x, v, args.shift, p)
@@ -184,6 +192,7 @@ def _ztilt(args, x):
 
 
 def _heart(args, x):
+    from . import tilt
     v = parse_class(args.target, x)
     verdict = tilt.heart_case(x, v, args.shift, _tilt_params(args))
     checks = [{"name": c.name, "value": str(c.value),
@@ -195,6 +204,7 @@ def _heart(args, x):
 
 
 def _blms(args, x):
+    from . import tilt
     c = _collection(args, x)
     p = _tilt_params(args)
     rep = tilt.blms_check(x, c.members, p)
@@ -206,6 +216,7 @@ def _blms(args, x):
 
 
 def _alpha_range(args, x):
+    from . import tilt
     c = _collection(args, x)
     intervals = tilt.alpha_range(x, c.members, args.beta)
     return {"collection": list(c.members), "beta": args.beta,
@@ -215,12 +226,14 @@ def _alpha_range(args, x):
 
 
 def _beta0(args, x):
+    from . import walls
     v = parse_class(args.target, x, truncated=True)
     bz = walls.beta_zero(x, v)
     return {"target": v, "F": bz.F, "beta0": bz.beta0, "bound": bz.bound}, []
 
 
 def _nowall(args, x):
+    from . import walls
     v = parse_class(args.target, x, truncated=True)
     bz = walls.beta_zero(x, v)
     cert = walls.nowall_certificate(x, v)
@@ -237,6 +250,7 @@ def _nowall(args, x):
 
 
 def _walls(args, x):
+    from . import walls
     v = parse_class(args.target, x, truncated=True)
     found = walls.wall_scan(x, v, args.max_rank, args.max_c1)
     return {"target": v,
@@ -249,6 +263,8 @@ def _walls(args, x):
 
 
 def _svg(args, x):
+    from . import walls
+    from .svg import render_walls_svg
     v = parse_class(args.target, x, truncated=True)
     found = walls.wall_scan(x, v, args.max_rank, args.max_c1)
     doc = render_walls_svg(found, {
@@ -258,6 +274,7 @@ def _svg(args, x):
 
 
 def _fullness(args, x):
+    from . import semiorth
     c = _collection(args, x)
     gens = [parse_class(t, x) for t in args.gen]
     verdict = semiorth.fullness_report(x, c, gens, args.stability_assumed)
@@ -306,6 +323,10 @@ _COMMANDS = {
 
 # every argument is declared once; subcommands list the ones they take
 _ARGUMENTS = {
+    "--variety": dict(help="preset or config variety name"),
+    "--config": dict(help="path to a JSON variety config"),
+    "--json": dict(action="store_true", help="emit a JSON report"),
+    "--out": dict(help="write output to a file instead of stdout"),
     "lhs": {}, "rhs": {}, "target": {},
     "members": dict(nargs="*"),
     "--convention": dict(choices=("chi", "paper"), default="chi"),
@@ -322,21 +343,21 @@ _ARGUMENTS = {
                   help="residual generator token (repeatable)"),
     "--stability-assumed": dict(action="store_true"),
 }
+_COMMON = ("--variety", "--config", "--json", "--out")
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="kustab", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--variety", help="preset or config variety name")
-    common.add_argument("--config", help="path to a JSON variety config")
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--out", help="write output to a file instead of stdout")
+def build_parser(command: str | None = None) -> _Parser:
+    """All subcommands; arguments only for command, or for all if None."""
+    # -h leaves out the docstring's loading note; -OO strips the docstring
+    p = _Parser(prog="kustab",
+                description=__doc__ and __doc__.rpartition("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Parser)
     for name, (summary, arguments, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=summary, parents=[common])
-        for arg in arguments:
-            sp.add_argument(arg, **_ARGUMENTS[arg])
+        sp = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            for arg in _COMMON + arguments:
+                sp.add_argument(arg, **_ARGUMENTS[arg])
     return p
 
 
@@ -354,7 +375,8 @@ def _render(args, variety: str, payload: dict, notes: list) -> str:
 
 def run(argv: list[str]) -> int:
     """Execute one invocation; prints the report and returns the exit code."""
-    parser = build_parser()
+    # a parser that populates one subcommand, unless argv[0] names none
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         table, default = registry(args.config)

@@ -40,11 +40,11 @@ def invoke_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def invoke_process(*argv):
+def invoke_process(*argv, text=True):
     # one fresh "python -m kustab.cli" process, so a traceback would show
     return subprocess.run([sys.executable, "-m", "kustab.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=SRC),
-                          capture_output=True, text=True)
+                          capture_output=True, text=text)
 
 
 def test_parse_class_tokens():
@@ -585,3 +585,50 @@ def test_every_subcommand_smoke(capsys):
         if argv[0] != "svg":
             code, doc = invoke_json(capsys, *argv, "--variety", "q3")
             assert code == 0 and "result" in doc
+
+
+def test_one_command_parser_matches_the_full_parser(capsys):
+    full = build_parser()
+    for argv in SMOKE:
+        one = build_parser(argv[0])
+        assert one.format_help() == full.format_help()
+        helps = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit):
+                parser.parse_args([argv[0], "-h"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and helps[0].startswith("usage: kustab")
+        on_q3 = [*argv, "--variety", "q3"]
+        assert one.parse_args(on_q3) == full.parse_args(on_q3)
+    # usage errors: the same one line from either parser, and from run
+    for argv in (["chi", "--variety", "q3", "O"],
+                 ["gram", "--convention", "bogus"],
+                 ["bogus"], [], ["ch", "O", "O"]):
+        messages = []
+        for parser in (build_parser(argv[0] if argv else None), full):
+            with pytest.raises(ParseError) as err:
+                parser.parse_args(argv)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], argv
+        assert invoke_err(capsys, *argv) == (2, "", f"usage error: {messages[0]}\n")
+
+
+def test_module_run_matches_the_in_process_run(capsysbinary):
+    # the handlers import their modules with cli as __main__ too
+    for argv in SMOKE:
+        for mode in ((), ("--json",)) if argv[0] != "svg" else ((),):
+            full = [*argv, "--variety", "q3", *mode]
+            code = run(full)
+            proc = invoke_process(*full, text=False)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, capsysbinary.readouterr().out, b""), full
+
+
+def test_cli_runs_with_docstrings_stripped():
+    # python -OO drops the docstring that build_parser reads for -h
+    argv = ["chi", "--variety", "q3", "O", "O"]
+    proc = subprocess.run([sys.executable, "-OO", "-m", "kustab.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, invoke_process(*argv).stdout, "")

@@ -1,14 +1,18 @@
 """Every kustab module uses each name it imports and imports only the
 standard library, every private module-level function and class-body method
 has a reader, every exported name and public function has a reader outside
-the tests, the package exports exactly the names its __init__ imports, the
-console script resolves, only variety reads a variety's integer pairing
+the tests, the package exports exactly the names its lazy table resolves,
+each command loads only the kustab modules it runs, the console script
+resolves, only variety reads a variety's integer pairing
 form ._form, and only variety and walls read its lattice denominators
 .denoms (no linter needed)."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -184,15 +188,64 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         (SRC.parent.parent / "README.md").read_text()) == []
 
 
-def test_package_all_matches_its_imports():
+def test_package_all_matches_its_imports(monkeypatch):
     import kustab
 
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = {a.asname or a.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-                for a in node.names}
-    assert imported == set(kustab.__all__)
-    assert all(hasattr(kustab, name) for name in kustab.__all__)
+    # every exported name resolves to its home module's object, no other does
+    assert set(kustab.__all__) == set(kustab._HOMES)
+    for name, module in kustab._HOMES.items():
+        home = importlib.import_module(f"kustab.{module}")
+        assert getattr(kustab, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        kustab.nosuch
+    assert set(kustab.__all__) <= set(dir(kustab))
+    # a resolved name is not cached: a patch on the home module reads
+    # through, and so does its undoing
+    original = kustab.wall_scan
+    monkeypatch.setattr("kustab.walls.wall_scan", len)
+    assert kustab.wall_scan is len
+    monkeypatch.undo()
+    assert kustab.wall_scan is original
+
+
+# a fresh interpreter runs one command through cli.run and prints its exit
+# code and the kustab modules it loaded
+_LOADED = """
+import contextlib, io, json, sys
+if sys.argv[1:]:
+    from kustab import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(sys.argv[1:])
+else:
+    import kustab
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "kustab")]))
+"""
+_STARTUP = ["kustab", "kustab.cli", "kustab.config", "kustab.exact",
+            "kustab.report", "kustab.variety"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ([], None),
+    (["chi", "O", "O(1)"], []),
+    (["orth"], ["semiorth"]),
+    (["ztilt", "S", "--alpha", "1", "--beta", "0"], ["tilt"]),
+    (["blms", "--alpha", "1", "--beta", "0"], ["semiorth", "tilt"]),
+    (["walls", "1,0,-1"], ["walls"]),
+    (["svg", "1,0,-1"], ["svg", "walls"]),
+], ids=["import", "chi", "orth", "ztilt", "blms", "walls", "svg"])
+def test_each_command_loads_only_what_it_runs(argv, extra, tmp_path):
+    # import kustab alone loads no submodule; a command loads the start-up
+    # set and its own modules
+    if argv:
+        argv = [*argv, "--variety", "q3", "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, check=True)
+    code, loaded = json.loads(done.stdout)
+    want = ["kustab"] if extra is None else _STARTUP + [f"kustab.{m}" for m in extra]
+    assert (code, loaded) == (0, sorted(want))
 
 
 def attribute_reads(source: str, attr: str) -> list[int]:
