@@ -110,18 +110,13 @@ def default_collection(x: VarietyDesc) -> list[ChernVector]:
     return [line_bundle_class(x, k) for k in range(x.index)]
 
 
+def _members(args, x) -> list[ChernVector]:
+    return [parse_class(t, x) for t in args.members] or default_collection(x)
+
+
 def _collection(args, x):
     from . import semiorth
-    if args.members:
-        members = [parse_class(t, x) for t in args.members]
-    else:
-        members = default_collection(x)
-    return semiorth.Collection(variety=x, members=tuple(members))
-
-
-def _tilt_params(args):
-    from . import tilt
-    return tilt.TiltParams(alpha=args.alpha, beta=args.beta, mu=args.mu)
+    return semiorth.Collection(variety=x, members=_members(args, x))
 
 
 def _chi(args, x):
@@ -184,7 +179,7 @@ def _zh(args, x):
 def _ztilt(args, x):
     from . import tilt
     v = parse_class(args.target, x)
-    p = _tilt_params(args)
+    p = tilt.TiltParams(args.alpha, args.beta)
     z = tilt.charge_tilt(x, v, args.shift, p)
     return {"target": v, "alpha": p.alpha, "beta": p.beta,
             "shift": args.shift, "re": z.re, "im": z.im,
@@ -194,7 +189,8 @@ def _ztilt(args, x):
 def _heart(args, x):
     from . import tilt
     v = parse_class(args.target, x)
-    verdict = tilt.heart_case(x, v, args.shift, _tilt_params(args))
+    p = tilt.TiltParams(args.alpha, args.beta, args.mu)
+    verdict = tilt.heart_case(x, v, args.shift, p)
     checks = [{"name": c.name, "value": str(c.value),
                "threshold": c.threshold, "satisfied": c.satisfied}
               for c in verdict.slope_checks]
@@ -205,21 +201,21 @@ def _heart(args, x):
 
 def _blms(args, x):
     from . import tilt
-    c = _collection(args, x)
-    p = _tilt_params(args)
-    rep = tilt.blms_check(x, c.members, p)
+    members = _members(args, x)
+    p = tilt.TiltParams(args.alpha, args.beta, args.mu)
+    rep = tilt.blms_check(x, members, p)
     items = [{"condition": i.condition, "label": i.label,
               "passed": i.passed, "detail": i.detail} for i in rep.items]
-    return {"collection": list(c.members), "alpha": p.alpha,
+    return {"collection": members, "alpha": p.alpha,
             "beta": p.beta, "verdict": "PASS" if rep.passed else "FAIL",
             "items": items}, []
 
 
 def _alpha_range(args, x):
     from . import tilt
-    c = _collection(args, x)
-    intervals = tilt.alpha_range(x, c.members, args.beta)
-    return {"collection": list(c.members), "beta": args.beta,
+    members = _members(args, x)
+    intervals = tilt.alpha_range(x, members, args.beta)
+    return {"collection": members, "beta": args.beta,
             "intervals": [{"text": i.text(), "lo": i.lo, "hi": i.hi,
                            "lo_open": i.lo_open, "hi_open": i.hi_open}
                           for i in intervals]}, []
@@ -301,7 +297,7 @@ _COMMANDS = {
     "serre": ("numerical Serre action matrix", (), _serre),
     "zh": ("weak charge Z_H and slope", ("target",), _zh),
     "ztilt": ("tilt charge and slope",
-              ("target", "--alpha", "--beta", "--mu", "--shift"), _ztilt),
+              ("target", "--alpha", "--beta", "--shift"), _ztilt),
     "heart": ("double-tilt heart membership case",
               ("target", "--alpha", "--beta", "--mu", "--shift"), _heart),
     "blms": ("induced stability checklist",

@@ -14,15 +14,13 @@ from .variety import ChernVector
 
 
 def json_default(obj):
-    """json.dumps's hook for the four exact payload types; json walks the rest."""
+    """json.dumps's hook for the three exact payload types; json walks the rest."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, QuadNumber):
         return {"a": obj.a, "b": obj.b, "radicand": obj.F}
     if isinstance(obj, frozenset):
         return sorted(str(x) for x in obj)
-    if isinstance(obj, ChernVector):
-        return list(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

@@ -29,69 +29,59 @@ from math import factorial, lcm
 from .exact import DomainError, RatMatrix, _cleared, _dot, _solve, rat
 
 
-class ChernVector:
-    """Coefficients (c_0, ..., c_k) of a class sum c_i H^i.
+class ChernVector(tuple):
+    """Coefficients (c_0, ..., c_k) of a class sum c_i H^i, as Fractions.
 
     Full classes on an n-fold have length n + 1; the tilt and wall modules
-    also accept vectors truncated to (c_0, c_1, c_2).
+    also accept vectors truncated to (c_0, c_1, c_2).  +, - and * are the
+    vector operations, not tuple concatenation and repetition.
 
     >>> ChernVector([2, -1, 0, "1/12"])[3]
     Fraction(1, 12)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(rat(x) for x in coeffs)
-        if not self.coeffs:
+    def __new__(cls, coeffs):
+        self = super().__new__(cls, map(rat, coeffs))
+        if not self:
             raise DomainError("empty class")
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __eq__(self, other):
-        if isinstance(other, ChernVector):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (tuple, list)):
-            return self.coeffs == tuple(rat(x) for x in other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return self
 
     def __add__(self, other):
         if len(other) != len(self):
             raise DomainError("dimension mismatch")
-        return ChernVector(a + b for a, b in zip(self.coeffs, other))
+        return ChernVector(a + b for a, b in zip(self, other))
 
     def __sub__(self, other):
         if len(other) != len(self):
             raise DomainError("dimension mismatch")
-        return ChernVector(a - b for a, b in zip(self.coeffs, other))
+        return ChernVector(a - b for a, b in zip(self, other))
 
     def __neg__(self):
-        return ChernVector(-a for a in self.coeffs)
+        return ChernVector(-a for a in self)
 
     def __mul__(self, scalar):
         s = rat(scalar)
-        return ChernVector(a * s for a in self.coeffs)
+        return ChernVector(a * s for a in self)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self)
 
     def text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(str(c) for c in self)
 
     def __repr__(self):
         return f"ChernVector({self.text()})"
+
+
+def _lattice_int(n) -> int:
+    # a lattice coordinate or denominator; int() would floor a float
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"not an integer: {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -110,7 +100,7 @@ class VarietyDesc:
 
     def __post_init__(self):
         object.__setattr__(self, "todd", tuple(rat(t) for t in self.todd))
-        object.__setattr__(self, "denoms", tuple(int(d) for d in self.denoms))
+        object.__setattr__(self, "denoms", tuple(map(_lattice_int, self.denoms)))
         if self.dim < 1 or self.degree < 1:
             raise DomainError("dimension and degree must be positive")
         if len(self.todd) != self.dim + 1 or len(self.denoms) != self.dim + 1:
@@ -269,9 +259,9 @@ def _truncated(v: ChernVector) -> tuple[int, int, int, int]:
     # denominators: how tilt and walls read a class; c_i H^(n-i) = d C_i / M
     if len(v) < 3:
         raise DomainError("class needs at least coefficients c0, c1, c2")
-    m, c = _cleared(v.coeffs[:3])
+    m, c = _cleared(v[:3])
     return (m, *c)
 
 
 def from_lattice_coords(x: VarietyDesc, coords) -> ChernVector:
-    return ChernVector(Fraction(int(c), d) for c, d in zip(coords, x.denoms))
+    return ChernVector(Fraction(_lattice_int(c), d) for c, d in zip(coords, x.denoms))

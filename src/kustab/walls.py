@@ -61,7 +61,6 @@ class BetaZero:
 
 @dataclass(frozen=True)
 class NoWallCertificate:
-    beta0: BetaZero
     lattice_step: Fraction
     conclusion: str
 
@@ -112,8 +111,8 @@ def nowall_certificate(x: VarietyDesc, v: ChernVector) -> NoWallCertificate | No
     Decided on _line: beta_0 is rational exactly when N = s^2, s = isqrt(N),
     and then beta_0 = (V1 - s) / V0, bound = s d / M, and the values
     ch_1^{beta_0}(w) H^{n-1} over lattice pairs (c0, c1) are the multiples
-    of a step computed by a gcd.  The certificate holds, and beta_zero is
-    called for its values, exactly when the step is at least the bound.
+    of a step computed by a gcd.  The certificate holds exactly when the
+    step is at least the bound.
     When beta_0 is irrational the value set meets every open interval (the
     radical part equidistributes), so None is returned.
     """
@@ -127,7 +126,7 @@ def nowall_certificate(x: VarietyDesc, v: ChernVector) -> NoWallCertificate | No
     bound = Fraction(s * x.degree, m)
     if step >= bound:
         return NoWallCertificate(
-            beta0=beta_zero(x, v), lattice_step=step,
+            lattice_step=step,
             conclusion=(f"values of ch_1^(beta_0) H^(n-1) on lattice classes "
                         f"are the multiples of {step}; none lies in the open "
                         f"interval (0, {bound})"))
@@ -254,7 +253,7 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
                 walls.setdefault(key, []).append((k0, k1, k2))
     out = []
     for (c0, c1, c2), ks in walls.items():
-        # every lam_i > 0: the order of the integer (k0, k1, k2) is that of w.coeffs
+        # every lam_i > 0: sorting the integer (k0, k1, k2) sorts the witnesses
         wits = tuple(ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
                                   Fraction(k2, lam2)]) for k0, k1, k2 in sorted(ks))
         out.append(WallCircle("circle", center_beta=Fraction(-c1, 2 * c0),

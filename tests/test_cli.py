@@ -136,6 +136,10 @@ def test_usage_errors_exit_two(capsys):
                                 "--no-stability-assumed")
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    # the tilt charge and slope do not read mu, so ztilt takes no --mu
+    assert invoke_err(capsys, "ztilt", "--variety", "q3", "S", "--alpha",
+                      "1/4", "--beta", "-1/2", "--mu", "5") == \
+        (2, "", "usage error: unrecognized arguments: --mu 5\n")
 
 
 def test_domain_errors_exit_three(capsys):

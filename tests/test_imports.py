@@ -231,10 +231,11 @@ _STARTUP = ["kustab", "kustab.cli", "kustab.config", "kustab.exact",
     (["chi", "O", "O(1)"], []),
     (["orth"], ["semiorth"]),
     (["ztilt", "S", "--alpha", "1", "--beta", "0"], ["tilt"]),
-    (["blms", "--alpha", "1", "--beta", "0"], ["semiorth", "tilt"]),
+    (["blms", "--alpha", "1", "--beta", "0"], ["tilt"]),
+    (["alpha-range", "--beta", "-1/2"], ["tilt"]),
     (["walls", "1,0,-1"], ["walls"]),
     (["svg", "1,0,-1"], ["svg", "walls"]),
-], ids=["import", "chi", "orth", "ztilt", "blms", "walls", "svg"])
+], ids=["import", "chi", "orth", "ztilt", "blms", "alpha-range", "walls", "svg"])
 def test_each_command_loads_only_what_it_runs(argv, extra, tmp_path):
     # import kustab alone loads no submodule; a command loads the start-up
     # set and its own modules

@@ -367,3 +367,44 @@ def test_descriptor_warnings_for_inconsistent_data():
 def test_wrong_arity_rejected():
     with pytest.raises(DomainError, match="wrong arity"):
         euler_pairing(Q3, ChernVector([1, 0, 0]), SPINOR_CLASS)
+
+
+def test_chern_vector_is_an_immutable_tuple_of_fractions():
+    v = ChernVector([2, "-1", Fraction(1, 2)])
+    assert isinstance(v, tuple) and v == (2, -1, Fraction(1, 2))
+    assert all(type(c) is Fraction for c in v)
+    assert hash(v) == hash((Fraction(2), Fraction(-1), Fraction(1, 2)))
+    assert v != [2, -1, Fraction(1, 2)]        # a list is not a class
+    assert type(v[:2]) is tuple and v.text() == "2,-1,1/2"
+    assert repr(v) == "ChernVector(2,-1,1/2)"
+    # +, - and * are the vector operations, not concatenation and repetition
+    w = ChernVector([1, 1, 1])
+    assert v + w == ChernVector([3, 0, Fraction(3, 2)]) and v + (1, 1, 1) == v + w
+    assert v - w == ChernVector([1, -2, Fraction(-1, 2)])
+    assert 2 * v == v * 2 == v + v == ChernVector([4, -2, 1]) and -v == v * -1
+    assert all(type(r) is ChernVector for r in (v + w, v - w, 2 * v, v * 2, -v))
+    assert (v - v).is_zero() and not v.is_zero()
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        v + ChernVector([1, 1])
+    with pytest.raises(DomainError, match="empty class"):
+        ChernVector([])
+    with pytest.raises(DomainError, match="not an exact rational"):
+        ChernVector([0.5])
+    with pytest.raises(AttributeError):
+        v.coeffs = (1,)
+    with pytest.raises(TypeError):
+        v[0] = Fraction(3)
+
+
+def test_lattice_integers_refuse_floats_and_bools():
+    # int() would floor 1.9 to 1; a lattice number must be an int already
+    for bad in (1.9, 1.0, True):
+        with pytest.raises(DomainError, match="not an integer"):
+            from_lattice_coords(Q3, [bad, 0, 0, 0])
+        with pytest.raises(DomainError, match="not an integer"):
+            VarietyDesc(name="Q", dim=3, degree=2, index=3, todd=Q3.todd,
+                        denoms=(bad, 1, 2, 12))
+    assert from_lattice_coords(Q3, [1, 0, 1, 1]) == (1, 0, Fraction(1, 2),
+                                                     Fraction(1, 12))
+    assert VarietyDesc(name="Q", dim=3, degree=2, index=3, todd=Q3.todd,
+                       denoms=[1, 1, 2, 12]).denoms == (1, 1, 2, 12)
