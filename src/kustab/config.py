@@ -23,8 +23,8 @@ from .variety import PRESETS, VarietyDesc
 
 
 def _integer(value, field: str) -> int:
-    # JSON floats and booleans are refused; strings still go through int()
-    if isinstance(value, (bool, float)):
+    # only JSON integers and strings pass; strings still go through int()
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DomainError(f"config field {field} must be an integer")
     return int(value)
 

@@ -9,7 +9,8 @@ arguments at the lattice level.
 Every chi(E_i, .) is an integer row from variety._functionals: a member
 cleared to E_i = M_i / p_i has the functional F_i = M_i^T G, and chi(E_i,
 W / q) = F_i . W / (scale p_i q) for an integer vector W.  A Collection
-builds these rows once; every call here reads them, on that variety only,
+checks once, when it is built, that its members are lattice classes, and
+builds these rows then; every call here reads them, on that variety only,
 in integer dot products and HNFs.  The residual basis is the saturated
 kernel in HNF, read once as lattice rows by _residual, so fullness_report
 accepts a lattice generator exactly when adding it leaves that HNF unchanged.
@@ -27,13 +28,13 @@ from .exact import (DomainError, RatMatrix, _cleared, _dot, _solve, hnf_rows,
                     int_kernel)
 from .variety import (ChernVector, VarietyDesc, _functionals, _lattice_coords,
                       _on_lattice, _pairing_scale, _serre_matrix,
-                      from_lattice_coords, in_lattice)
+                      from_lattice_coords)
 
 
 @dataclass(frozen=True)
 class Collection:
-    """An ordered tuple of classes, typically line bundles; _rows holds
-    their rows (p_i, M_i, F_i) of variety._functionals, built once here."""
+    """Ordered lattice classes, typically line bundles, checked once when
+    built; _rows holds their rows (p_i, M_i, F_i) of variety._functionals."""
 
     variety: VarietyDesc
     members: tuple[ChernVector, ...]
@@ -42,6 +43,8 @@ class Collection:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "_rows", tuple(_functionals(self.variety, self.members)))
+        if any(_lattice_coords(self.variety, m) is None for m in self.members):
+            raise DomainError("collection member not in lattice")
 
     def __len__(self):
         return len(self.members)
@@ -81,10 +84,7 @@ def _residual(x: VarietyDesc, c: Collection) -> list[list[int]]:
     # lattice coordinates of the canonical residual basis: the saturated
     # kernel, in HNF, of the members' functionals; with no members, the
     # kernel of the zero row, which is the unit rows
-    rows = c._rows_on(x)
-    if not all(in_lattice(x, m) for m in c.members):
-        raise DomainError("collection member not in lattice")
-    return int_kernel([_on_lattice(x, f) for _, _, f in rows]
+    return int_kernel([_on_lattice(x, f) for _, _, f in c._rows_on(x)]
                       or [[0] * (x.dim + 1)])
 
 
@@ -167,13 +167,10 @@ def classify_class(x: VarietyDesc, c: Collection, v: ChernVector) -> ClassReport
     that solve when the members' Gram is singular.
     """
     rows = c._rows_on(x)
-    x.check_class(v)
-    if v.is_zero():
-        raise DomainError("zero class")
-    if not in_lattice(x, v):
-        raise DomainError("not residual")
     (p, vv, fv), = _functionals(x, (v,))
-    if any(_dot(f, vv) for _, _, f in rows):
+    if not any(vv):
+        raise DomainError("zero class")
+    if _lattice_coords(x, v) is None or any(_dot(f, vv) for _, _, f in rows):
         raise DomainError("not residual")
     chi_self = Fraction(_dot(fv, vv), _pairing_scale(x) * p * p)
     n, big = x.dim, factorial(x.dim)

@@ -67,9 +67,6 @@ class ChernVector(tuple):
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not any(self)
-
     def text(self) -> str:
         return ",".join(str(c) for c in self)
 
@@ -101,7 +98,8 @@ class VarietyDesc:
     def __post_init__(self):
         object.__setattr__(self, "todd", tuple(rat(t) for t in self.todd))
         object.__setattr__(self, "denoms", tuple(map(_lattice_int, self.denoms)))
-        if self.dim < 1 or self.degree < 1:
+        _lattice_int(self.index)
+        if _lattice_int(self.dim) < 1 or _lattice_int(self.degree) < 1:
             raise DomainError("dimension and degree must be positive")
         if len(self.todd) != self.dim + 1 or len(self.denoms) != self.dim + 1:
             raise DomainError("todd and denoms must have length dim + 1")
@@ -241,9 +239,10 @@ def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:
 
 
 def _lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int] | None:
-    # the integers lambda_i c_i for the coefficients v has (truncations too),
-    # or None when one is not: lambda c is an integer iff den(c) | lambda
-    if any(d % c.denominator for c, d in zip(v, x.denoms)):
+    # the integers lambda_i c_i (truncations too), or None when v is longer
+    # than the lattice or some den(c_i) does not divide lambda_i
+    if len(v) > len(x.denoms) or any(d % c.denominator
+                                     for c, d in zip(v, x.denoms)):
         return None
     return [c.numerator * (d // c.denominator) for c, d in zip(v, x.denoms)]
 

@@ -155,6 +155,14 @@ def test_domain_errors_exit_three(capsys):
         code, out, err = invoke_err(capsys, cmd, "--variety", "q3", "1,0,-1",
                                     "--max-rank", "-1")
         assert (code, out, err) == (3, "", "error: negative scan bound\n")
+    # a collection refuses an off-lattice member when it is built, before
+    # any target is read
+    for argv in (["orth"], ["project", "0,0,0,1/2"], ["classify", "S"],
+                 ["fullness"]):
+        code, out, err = invoke_err(capsys, argv[0], "--variety", "q3",
+                                    *argv[1:], "1/4,0,0,0")
+        assert (code, out, err) == (
+            3, "", "error: collection member not in lattice\n"), argv
 
 
 def test_oversized_scan_exits_three(capsys):
@@ -178,6 +186,11 @@ def test_alpha_range_on_a_curve_exits_three(tmp_path, capsys):
                                     "--variety", "p1")
         assert (code, out, err) == (
             3, "", "error: class needs at least coefficients c0, c1, c2\n"), argv
+    # nor has it a lattice class of length three for the wall commands
+    for cmd in ("beta0", "nowall", "walls", "svg"):
+        code, out, err = invoke_err(capsys, cmd, "1,0,-1", "--config", str(cfg),
+                                    "--variety", "p1")
+        assert (code, out, err) == (3, "", "error: class not in lattice\n"), cmd
 
 
 def test_alpha_range_closed_lower_end_on_a_surface(tmp_path, capsys):
@@ -295,7 +308,8 @@ def test_config_integer_fields_reject_floats_and_booleans(tmp_path, capsys):
     assert invoke(capsys, *argv) == (0, "command: chi\nvariety: X\n"
                                      "lhs: 1,0,0,0\nrhs: 1,1,1/2,1/6\nchi: 5\n")
     for field, bad in (("dim", 3.0), ("degree", 2.9), ("index", True),
-                       ("denoms", [1, 1, 2.5, 12]), ("denoms", [1, 1, 2, False])):
+                       ("denoms", [1, 1, 2.5, 12]), ("denoms", [1, 1, 2, False]),
+                       ("dim", None), ("dim", [3]), ("dim", {})):
         cfg.write_text(json.dumps({"varieties": [dict(rec, **{field: bad})]}))
         code, _, err = invoke_err(capsys, *argv)
         assert code == 3, (field, bad)

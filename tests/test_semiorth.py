@@ -62,10 +62,12 @@ def test_right_orthogonal_y4_rank_two_contains_spinor():
 
 
 def test_right_orthogonal_rejects_non_lattice_member():
-    off = Collection(variety=Q3,
-                     members=(ChernVector([0, 0, Fraction(1, 4), 0]),))
-    with pytest.raises(DomainError, match="not in lattice"):
-        right_orthogonal(Q3, off)
+    # the collection is checked once, when it is built
+    with pytest.raises(DomainError, match="^collection member not in lattice$"):
+        Collection(variety=Q3, members=(ChernVector([0, 0, Fraction(1, 4), 0]),))
+    # arity is checked first
+    with pytest.raises(DomainError, match="wrong arity"):
+        Collection(variety=Q3, members=(ChernVector([0, 0, Fraction(1, 4)]),))
 
 
 def test_sod_project_degenerate_collection():
@@ -103,7 +105,7 @@ def test_sod_project_spinor_twist():
 
 def test_sod_project_member_vanishes():
     c = block(Q3)
-    assert sod_project(Q3, c, line_bundle_class(Q3, 1)).is_zero()
+    assert not any(sod_project(Q3, c, line_bundle_class(Q3, 1)))
 
 
 def test_sod_project_point_class_oracle():
@@ -267,12 +269,20 @@ def test_classify_eigenvalue_scale_invariant():
 
 def test_classify_errors():
     c = block(Q3)
+    # in order: other variety, arity, zero, not residual
+    with pytest.raises(DomainError, match="another variety"):
+        classify_class(Y4, c, ChernVector([0, 0, 0]))
+    with pytest.raises(DomainError, match="wrong arity"):
+        classify_class(Q3, c, ChernVector([0, 0, 0]))
     with pytest.raises(DomainError, match="zero class"):
         classify_class(Q3, c, ChernVector([0, 0, 0, 0]))
     with pytest.raises(DomainError, match="not residual"):
         classify_class(Q3, c, line_bundle_class(Q3, 0))
     with pytest.raises(DomainError, match="not residual"):
         classify_class(Q3, c, ChernVector([2, -1, 0, Fraction(1, 24)]))
+    # S/2 pairs to 0 with the block but is not a lattice class
+    with pytest.raises(DomainError, match="not residual"):
+        classify_class(Q3, c, SPINOR_CLASS * Fraction(1, 2))
 
 
 def _classify_varieties():

@@ -383,7 +383,7 @@ def test_chern_vector_is_an_immutable_tuple_of_fractions():
     assert v - w == ChernVector([1, -2, Fraction(-1, 2)])
     assert 2 * v == v * 2 == v + v == ChernVector([4, -2, 1]) and -v == v * -1
     assert all(type(r) is ChernVector for r in (v + w, v - w, 2 * v, v * 2, -v))
-    assert (v - v).is_zero() and not v.is_zero()
+    assert not any(v - v) and any(v)
     with pytest.raises(DomainError, match="dimension mismatch"):
         v + ChernVector([1, 1])
     with pytest.raises(DomainError, match="empty class"):
@@ -404,6 +404,12 @@ def test_lattice_integers_refuse_floats_and_bools():
         with pytest.raises(DomainError, match="not an integer"):
             VarietyDesc(name="Q", dim=3, degree=2, index=3, todd=Q3.todd,
                         denoms=(bad, 1, 2, 12))
+        for field in ("dim", "degree", "index"):
+            fields = dict(name="Q", dim=3, degree=2, index=3, todd=Q3.todd,
+                          denoms=(1, 1, 2, 12))
+            fields[field] = bad
+            with pytest.raises(DomainError, match="not an integer"):
+                VarietyDesc(**fields)
     assert from_lattice_coords(Q3, [1, 0, 1, 1]) == (1, 0, Fraction(1, 2),
                                                      Fraction(1, 12))
     assert VarietyDesc(name="Q", dim=3, degree=2, index=3, todd=Q3.todd,

@@ -152,7 +152,7 @@ def test_wall_circle_symmetry():
         w = ChernVector([rng.randint(-4, 4),
                          rng.randint(-4, 4),
                          Fraction(rng.randint(-8, 8), 2)])
-        if v.is_zero() or w.is_zero():
+        if not any(v) or not any(w):
             continue
         # the same wall: (C0, C1, C2) changes sign with the order of v and w
         assert _class_locus(w, v) == tuple(-c for c in _class_locus(v, w))
