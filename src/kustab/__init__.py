@@ -28,7 +28,7 @@ _HOMES = {name: module for module, names in (
               "slope_tilt")),
     ("variety", ("PRESETS", "SPINOR_CLASS", "ChernVector", "VarietyDesc",
                  "euler_pairing", "exp_twist", "get_preset", "gram_matrix",
-                 "in_lattice", "line_bundle_class", "serre_numeric")),
+                 "line_bundle_class", "serre_numeric")),
     ("walls", ("BetaZero", "NoWallCertificate", "WallCircle", "beta_zero",
                "nowall_certificate", "wall_scan")),
 ) for name in names}

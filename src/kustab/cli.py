@@ -19,15 +19,11 @@ import sys
 from fractions import Fraction
 
 from .config import registry
-from .exact import DomainError, rat
+from .exact import _INTEGER, _RATIONAL, DomainError, rat
 from .report import json_default, to_text_value
 from .variety import (SPINOR_CLASS, SPINOR_VARIETIES, ChernVector,
                       VarietyDesc, euler_pairing, gram_matrix,
                       line_bundle_class, serre_numeric)
-
-
-# a sign and ASCII digits: int() and Fraction() also take "1_0", " 1", "١"
-_INTEGER = r"[+-]?[0-9]+"
 
 
 class ParseError(ValueError):
@@ -48,7 +44,7 @@ def _rational(text: str) -> Fraction:
     # every rational flag: an integer with an optional "/" and ASCII digits;
     # a zero denominator is a usage error, not a crash
     try:
-        if not re.fullmatch(_INTEGER + "(/[0-9]+)?", text):
+        if not re.fullmatch(_RATIONAL, text):
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -57,7 +53,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _integer(text: str) -> int:
-    # --shift: the twist grammar, so every number the CLI reads has one
+    # --shift and twists O(k): every integer the CLI reads has one grammar
     try:
         if not re.fullmatch(_INTEGER, text):
             raise ValueError(text)
@@ -77,12 +73,9 @@ def parse_class(token: str, x: VarietyDesc, truncated: bool = False) -> ChernVec
     if tok == "O":
         return line_bundle_class(x, 0)
     if tok.startswith("O(") and tok.endswith(")"):
-        inner = tok[2:-1]
         try:
-            if not re.fullmatch(_INTEGER, inner):
-                raise ValueError(inner)
-            k = int(inner)      # ValueError past the integer digit limit too
-        except ValueError:
+            k = _integer(tok[2:-1])
+        except argparse.ArgumentTypeError:
             raise ParseError(f"malformed twist in {token!r}") from None
         return line_bundle_class(x, k)
     if tok == "S":
@@ -252,7 +245,7 @@ def _walls(args, x):
     return {"target": v,
             "bounds": {"max_rank": args.max_rank, "max_c1": args.max_c1},
             "count": len(found),
-            "walls": [{"kind": w.kind, "center": w.center_beta,
+            "walls": [{"kind": "circle", "center": w.center_beta,
                        "radius_sq": w.radius_sq,
                        "witnesses": list(w.witnesses)} for w in found]}, \
         ["candidate numerical walls; only a certificate is definitive"]

@@ -16,9 +16,10 @@ them by name.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
-from .exact import DomainError, rat
+from .exact import _RATIONAL, DomainError, rat
 from .variety import PRESETS, VarietyDesc
 
 
@@ -37,8 +38,11 @@ def _list(rec: dict, field: str) -> list:
 
 
 def _todd_entry(value):
-    # rat() raises ValueError on "x" and ZeroDivisionError on "1/0"
+    # a JSON integer or a string in the flag grammar; rat() raises DomainError
+    # on a bool or a float and ZeroDivisionError on "1/0"
     try:
+        if isinstance(value, str) and not re.fullmatch(_RATIONAL, value):
+            raise ValueError(value)
         return rat(value)
     except (ValueError, ZeroDivisionError):
         raise DomainError("config field todd must hold rationals") from None

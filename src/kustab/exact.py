@@ -22,11 +22,16 @@ class DomainError(ValueError):
     """A precondition of an exact operation failed."""
 
 
+# a sign and ASCII digits: int() and Fraction() also take "1_0", " 1", "١"
+_INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = _INTEGER + "(/[0-9]+)?"     # rational flags and config todd strings
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints (not bools), Fractions and 'p/q' strings to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())

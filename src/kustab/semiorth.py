@@ -127,12 +127,12 @@ def sod_project(x: VarietyDesc, c: Collection, v: ChernVector) -> ChernVector:
 
 
 def serre_on_residual(x: VarietyDesc, c: Collection,
-                      basis: list[ChernVector] | None = None) -> RatMatrix:
+                      basis: list[ChernVector]) -> RatMatrix:
     """Matrix of the induced Serre action on the residual lattice A.
 
-    In the given basis of A (by default the canonical one) it is G^-1 G^T,
-    solved from G X = G^T, G the Gram matrix chi(b_i, b_j) of the basis
-    (in integers: for b_i = B_i / L, F_i . B_j is scale L^2 chi(b_i, b_j)).
+    In the given basis of A it is G^-1 G^T, solved from G X = G^T, G the
+    Gram matrix chi(b_i, b_j) of the basis (in integers: for b_i = B_i / L,
+    F_i . B_j is scale L^2 chi(b_i, b_j)).
     The inverse Serre functor of the residual category is T = P . S^-1,
     the projection after the ambient inverse Serre action; for v, w in A
     the difference P S^-1 v - S^-1 v lies in span(E), which pairs to 0
@@ -142,8 +142,6 @@ def serre_on_residual(x: VarietyDesc, c: Collection,
     "degenerate collection pairing" is raised when the members are
     dependent (the ranks do not add up to dim + 1) or G is singular.
     """
-    if basis is None:
-        basis = right_orthogonal(x, c)
     if not basis:
         return RatMatrix.from_rows([])
     if len(basis) + len(c._rows_on(x)) != x.dim + 1:   # dependent members

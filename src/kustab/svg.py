@@ -40,12 +40,11 @@ def _sqrt_trunc(q: Fraction) -> Fraction:
 def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
     """Render walls as an SVG document.
 
-    viewport maps beta_min, beta_max, alpha_max to rationals.  Every wall
-    must be a circle, as wall_scan returns; it becomes an upper semicircular
-    path with its witnesses in a title element.  DomainError is raised for
-    a wall of another kind, when the viewport holds more than _TICK_BUDGET
-    integer beta ticks and when a coordinate needs an integer past the str
-    conversion limit.
+    viewport maps beta_min, beta_max, alpha_max to rationals.  Each wall, a
+    circle as wall_scan returns it, becomes an upper semicircular path with
+    its witnesses in a title element.  DomainError is raised when the
+    viewport holds more than _TICK_BUDGET integer beta ticks and when a
+    coordinate needs an integer past the str conversion limit.
     """
     beta_min = rat(viewport["beta_min"])
     beta_max = rat(viewport["beta_max"])
@@ -81,8 +80,6 @@ def render_walls_svg(circles: list[WallCircle], viewport: dict) -> bytes:
     lines += [f'<text class="tick" x="{px(Fraction(b))}" y="{tick_y}" '
               f'font-size="12" text-anchor="middle">{b}</text>' for b in range(first, first + count)]
     for c in circles:
-        if c.kind != "circle":
-            raise DomainError(f"cannot draw a {c.kind} wall")
         title = "; ".join(w.text() for w in c.witnesses)
         r = _sqrt_trunc(c.radius_sq)
         lines.append(

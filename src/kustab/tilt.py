@@ -59,9 +59,6 @@ class Charge:
     re: Fraction
     im: Fraction
 
-    def __add__(self, other: "Charge") -> "Charge":
-        return Charge(self.re + other.re, self.im + other.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

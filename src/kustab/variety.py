@@ -233,11 +233,6 @@ def serre_numeric(x: VarietyDesc) -> RatMatrix:
     return _serre_matrix(x._form[1], "degenerate pairing")
 
 
-def in_lattice(x: VarietyDesc, v: ChernVector) -> bool:
-    """True when lambda_i * c_i is an integer for every i."""
-    return _lattice_coords(x, x.check_class(v)) is not None
-
-
 def _lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int] | None:
     # the integers lambda_i c_i (truncations too), or None when v is longer
     # than the lattice or some den(c_i) does not divide lambda_i

@@ -69,7 +69,6 @@ class NoWallCertificate:
 class WallCircle:
     """Solution locus of a tilt-slope equality in the half plane alpha > 0."""
 
-    kind: str                           # "circle" for every wall of wall_scan
     center_beta: Fraction
     radius_sq: Fraction
     witnesses: tuple[ChernVector, ...] = field(default=(), compare=False)
@@ -256,7 +255,7 @@ def wall_scan(x: VarietyDesc, v: ChernVector, max_rank, max_c1) -> list[WallCirc
         # every lam_i > 0: sorting the integer (k0, k1, k2) sorts the witnesses
         wits = tuple(ChernVector([Fraction(k0, lam0), Fraction(k1, lam1),
                                   Fraction(k2, lam2)]) for k0, k1, k2 in sorted(ks))
-        out.append(WallCircle("circle", center_beta=Fraction(-c1, 2 * c0),
+        out.append(WallCircle(center_beta=Fraction(-c1, 2 * c0),
                               radius_sq=Fraction(c1 * c1 - 4 * c0 * c2, 4 * c0 * c0),
                               witnesses=wits))
     return sorted(out, key=lambda w: (w.center_beta, w.radius_sq))

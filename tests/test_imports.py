@@ -1,11 +1,12 @@
-"""Every kustab module uses each name it imports and imports only the
-standard library, every private module-level function and class-body method
-has a reader, every exported name and public function has a reader outside
-the tests, the package exports exactly the names its lazy table resolves,
-each command loads only the kustab modules it runs, the console script
-resolves, only variety reads a variety's integer pairing
-form ._form, and only variety and walls read its lattice denominators
-.denoms (no linter needed)."""
+"""Every kustab module uses each name it imports, imports only the standard
+library and holds no float constant, float call or inexact math import,
+every private module-level function and class-body method has a reader,
+every exported name and public function has a reader outside the tests
+(in the bench, a read resolved to kustab), the package exports exactly the
+names its lazy table resolves, each command loads only the kustab modules
+it runs, the console script resolves, only variety reads a variety's
+integer pairing form ._form, and only variety and walls read its lattice
+denominators .denoms (no linter needed)."""
 
 import ast
 import importlib
@@ -82,6 +83,44 @@ def test_module_imports_only_the_standard_library(path):
     assert non_stdlib_imports(path.read_text()) == []
 
 
+# the math names a module may import: integer functions, no float result
+_EXACT_MATH = {"isqrt", "gcd", "lcm", "factorial", "ceil", "floor"}
+
+
+def inexact_uses(source: str) -> list[str]:
+    """Line and text of every float or complex constant, call to float,
+    import math and name imported from math outside _EXACT_MATH: the ways a
+    float can enter a decision that a parse shows.  int / int also gives a
+    float, and that one is not caught statically."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Constant)
+                and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "float"
+                or isinstance(node, ast.Import)
+                and any(a.name.partition(".")[0] == "math" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "math"
+                and {a.name for a in node.names} - _EXACT_MATH):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_inexact_use_check_flags_an_orphan():
+    source = ('from math import gcd, isqrt\nx = 0.5\nz = 2j\n'
+              'def f(y):\n    return float(y) + int("0.5")\n'
+              'from math import sqrt, floor\nimport math\n')
+    assert inexact_uses(source) == [
+        "2: 0.5", "3: 2j", "5: float(y)", "6: from math import sqrt, floor",
+        "7: import math"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_keeps_floats_out(path):
+    # every decision is exact; svg's decimals come from integer arithmetic
+    assert inexact_uses(path.read_text()) == []
+
+
 def test_console_script_resolves():
     # read with a regex: tomllib needs Python 3.11, and CI also runs 3.10
     text = (SRC.parent.parent / "pyproject.toml").read_text()
@@ -136,13 +175,43 @@ def test_every_private_function_has_a_reader():
         [p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
 
 
+def kustab_reads(source: str, modules: set[str]) -> set[str]:
+    """Names a source reads from kustab: an attribute of a name bound to
+    the package or to one of its modules, or a name imported from kustab
+    read under its local name.  A same-named definition of the source's
+    own is not a read of kustab."""
+    tree = ast.parse(source)
+    bound, imported = set(), {}     # local module names; local -> kustab name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or "kustab" for a in node.names
+                      if a.name.partition(".")[0] == "kustab"}
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.partition(".")[0] == "kustab"):
+            for a in node.names:
+                if node.module == "kustab" and a.name in modules:
+                    bound.add(a.asname or a.name)
+                else:
+                    imported[a.asname or a.name] = a.name
+
+    def is_module(e) -> bool:
+        return (isinstance(e, ast.Name) and e.id in bound
+                or isinstance(e, ast.Attribute) and e.attr in modules
+                and is_module(e.value))
+
+    return ({n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and is_module(n.value)}
+            | {imported[n.id] for n in ast.walk(tree) if isinstance(n, ast.Name)
+               and isinstance(n.ctx, ast.Load) and n.id in imported})
+
+
 def unread_public_names(names, src: dict[str, str], bench: list[str],
                         readme: str) -> list[str]:
     """The names, plus every public module-level function of the src
     modules (file name -> source), that nothing reads: no name or attribute
     read in a src module other than __init__.py outside the name's own
-    definition, no such read in the bench sources, no mention in the README.
-    A string is not a read."""
+    definition, no read of it from kustab in the bench sources
+    (kustab_reads), no mention in the README.  A string is not a read."""
     trees = {name: ast.parse(source) for name, source in src.items()}
     names, own = set(names), {}
     for tree in trees.values():
@@ -153,8 +222,8 @@ def unread_public_names(names, src: dict[str, str], bench: list[str],
                     names.add(node.name)
     reads = [read for file, tree in trees.items() if file != "__init__.py"
              for read in name_reads(tree)]
-    bench_reads = {name for source in bench
-                   for _, name in name_reads(ast.parse(source))}
+    modules = {Path(file).stem for file in src} - {"__init__"}
+    bench_reads = set().union(*(kustab_reads(source, modules) for source in bench))
     return sorted(name for name in names
                   if not any(r == name and n not in own.get(name, ())
                              for n, r in reads)
@@ -167,15 +236,21 @@ def test_public_name_check_flags_an_orphan():
            "m.py": ("def orphan():\n    return orphan()\n"
                     "def used_in_src():\n    return 1\n"
                     "def in_bench():\n    pass\n"
+                    "def by_name():\n    pass\n"
+                    "def shadowed():\n    pass\n"
                     "def in_readme():\n    pass\n"
                     "def _private():\n    return used_in_src()\n"
                     "class Exported:\n    pass\n"
                     "KEY = 'm.in_string'\n"
                     "def in_string():\n    pass\n")}
-    bench = ["import m\nm.in_bench()\n"]
+    # a bench read resolves to kustab: shadowed is a bench function of the
+    # same name, and m.py's orphan is not bench's own m.orphan
+    bench = ["from kustab import m\nm.in_bench()\n",
+             "from kustab.m import by_name as b\nb()\n",
+             "import m\ndef shadowed():\n    pass\nshadowed()\nm.orphan()\n"]
     assert unread_public_names(
         ["orphan", "used_in_src", "Exported"], src, bench,
-        "call `in_readme` once") == ["Exported", "in_string", "orphan"]
+        "call `in_readme` once") == ["Exported", "in_string", "orphan", "shadowed"]
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():

@@ -547,7 +547,6 @@ def test_wall_scan_matches_enumeration_oracle(monkeypatch):
         assert {(w.center_beta, w.radius_sq): {tuple(c) for c in w.witnesses}
                 for w in got} == expected, (x.name, v, max_rank, max_c1)
         for w in got:
-            assert w.kind == "circle"
             for c in w.witnesses:
                 assert _circle(*wall_equation(x.degree, tuple(v), tuple(c))) == \
                     (w.center_beta, w.radius_sq), (x.name, v, c)
