@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .config import registry
-from .exact import _INTEGER, _RATIONAL, DomainError, rat
+from .exact import DomainError, integer, rat, rational
 from .report import json_default, to_text_value
 from .variety import (SPINOR_CLASS, SPINOR_VARIETIES, ChernVector,
                       VarietyDesc, euler_pairing, gram_matrix,
@@ -40,29 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _rational(text: str) -> Fraction:
-    # every rational flag: an integer with an optional "/" and ASCII digits;
-    # a zero denominator is a usage error, not a crash
-    try:
-        if not re.fullmatch(_RATIONAL, text):
-            raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"invalid rational value: {text!r}") from None
-
-
-def _integer(text: str) -> int:
-    # --shift and twists O(k): every integer the CLI reads has one grammar
-    try:
-        if not re.fullmatch(_INTEGER, text):
-            raise ValueError(text)
-        return int(text)        # ValueError past the integer digit limit too
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer value: {text!r}") from None
-
-
 def parse_class(token: str, x: VarietyDesc, truncated: bool = False) -> ChernVector:
     """Resolve a class token: "O", "O(k)", "S", or comma-separated rationals.
 
@@ -74,8 +51,8 @@ def parse_class(token: str, x: VarietyDesc, truncated: bool = False) -> ChernVec
         return line_bundle_class(x, 0)
     if tok.startswith("O(") and tok.endswith(")"):
         try:
-            k = _integer(tok[2:-1])
-        except argparse.ArgumentTypeError:
+            k = integer(tok[2:-1])
+        except ValueError:
             raise ParseError(f"malformed twist in {token!r}") from None
         return line_bundle_class(x, k)
     if tok == "S":
@@ -319,15 +296,15 @@ _ARGUMENTS = {
     "lhs": {}, "rhs": {}, "target": {},
     "members": dict(nargs="*"),
     "--convention": dict(choices=("chi", "paper"), default="chi"),
-    "--alpha": dict(type=_rational, required=True),
-    "--beta": dict(type=_rational, required=True),
-    "--mu": dict(type=_rational, default=Fraction(0)),
-    "--shift": dict(type=_integer, default=0),
-    "--max-rank": dict(type=_rational, default=Fraction(3)),
-    "--max-c1": dict(type=_rational, default=Fraction(3)),
-    "--beta-min": dict(type=_rational, default=Fraction(-4)),
-    "--beta-max": dict(type=_rational, default=Fraction(2)),
-    "--alpha-max": dict(type=_rational, default=Fraction(3)),
+    "--alpha": dict(type=rational, required=True),
+    "--beta": dict(type=rational, required=True),
+    "--mu": dict(type=rational, default=Fraction(0)),
+    "--shift": dict(type=integer, default=0),
+    "--max-rank": dict(type=rational, default=Fraction(3)),
+    "--max-c1": dict(type=rational, default=Fraction(3)),
+    "--beta-min": dict(type=rational, default=Fraction(-4)),
+    "--beta-max": dict(type=rational, default=Fraction(2)),
+    "--alpha-max": dict(type=rational, default=Fraction(3)),
     "--gen": dict(action="append", default=[],
                   help="residual generator token (repeatable)"),
     "--stability-assumed": dict(action="store_true"),

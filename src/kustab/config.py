@@ -16,11 +16,10 @@ them by name.
 from __future__ import annotations
 
 import json
-import re
 import sys
 
-from .exact import _RATIONAL, DomainError, rat
-from .variety import PRESETS, VarietyDesc
+from .exact import DomainError, rat, rational
+from .variety import PRESETS, VarietyDesc, _serre_is_twist
 
 
 def _integer(value, field: str) -> int:
@@ -38,13 +37,11 @@ def _list(rec: dict, field: str) -> list:
 
 
 def _todd_entry(value):
-    # a JSON integer or a string in the flag grammar; rat() raises DomainError
-    # on a bool or a float and ZeroDivisionError on "1/0"
+    # a string in the flag grammar or a JSON integer; rat() refuses a bool or
+    # a float
     try:
-        if isinstance(value, str) and not re.fullmatch(_RATIONAL, value):
-            raise ValueError(value)
-        return rat(value)
-    except (ValueError, ZeroDivisionError):
+        return rational(value) if isinstance(value, str) else rat(value)
+    except ValueError:
         raise DomainError("config field todd must hold rationals") from None
 
 
@@ -55,7 +52,7 @@ def variety_from_dict(rec: dict) -> VarietyDesc:
     if not isinstance(flag, bool):
         raise DomainError("config field low_deg_H_generated must be a boolean")
     try:
-        return VarietyDesc(
+        x = VarietyDesc(
             name=str(rec["name"]),
             dim=_integer(rec["dim"], "dim"),
             degree=_integer(rec["degree"], "degree"),
@@ -65,6 +62,10 @@ def variety_from_dict(rec: dict) -> VarietyDesc:
             low_deg_H_generated=flag)
     except KeyError as exc:
         raise DomainError(f"config variety missing field {exc}") from None
+    if not _serre_is_twist(x):
+        raise DomainError(f"config variety {x.name}: todd and index break "
+                          "Serre duality")
+    return x
 
 
 def load_config(path: str) -> tuple[dict[str, VarietyDesc], str | None]:

@@ -12,6 +12,7 @@ integers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -24,7 +25,21 @@ class DomainError(ValueError):
 
 # a sign and ASCII digits: int() and Fraction() also take "1_0", " 1", "١"
 _INTEGER = r"[+-]?[0-9]+"
-_RATIONAL = _INTEGER + "(/[0-9]+)?"     # rational flags and config todd strings
+_RATIONAL = _INTEGER + "(/0*[1-9][0-9]*)?"      # a nonzero denominator
+
+
+def integer(text: str) -> int:
+    """Read an integer flag or twist: a sign and ASCII digits, else ValueError."""
+    if not re.fullmatch(_INTEGER, text):
+        raise DomainError(f"not an integer: {text!r}")
+    return int(text)        # ValueError past the integer digit limit too
+
+
+def rational(text: str) -> Fraction:
+    """Read a rational flag or config string: an integer, optionally "/q", q > 0."""
+    if not re.fullmatch(_RATIONAL, text):
+        raise DomainError(f"not a rational: {text!r}")
+    return Fraction(text)
 
 
 def rat(x) -> Fraction:

@@ -204,7 +204,6 @@ def _placements(x: VarietyDesc, members) -> list[tuple[int, int]]:
     # (k, 0) for each member O(k) and (k - index, n - 1) for its Serre image,
     # in member order; O(k) is checked as c_i = k^i / i! in integers, and a
     # non-empty block also needs c0, c1, c2 and a Serre shift in _HEART_CASES
-    members = getattr(members, "members", members)   # Collection or iterable
     out = []
     for m in members:
         x.check_class(m)

@@ -15,8 +15,9 @@ and chi(V/p, W/q) = V^T G W / (scale * p * q) for integer vectors V, W.
 
 Only this module reads (scale, G).  Other modules call euler_pairing,
 _functionals (the integer rows F = V^T G of classes), _pairing_scale (the
-scale), _chi_o_top (chi(O, H^n / lambda_n)), _lattice_coords (the one
-written form of the lattice rule) and _on_lattice (a row on its basis).
+scale), _chi_o_top (chi(O, H^n / lambda_n)), _serre_is_twist (whether the
+pairing obeys Serre duality), _lattice_coords (the one written form of the
+lattice rule) and _on_lattice (a row on its basis).
 """
 
 from __future__ import annotations
@@ -231,6 +232,17 @@ def serre_numeric(x: VarietyDesc) -> RatMatrix:
     consistency check in the test suite.
     """
     return _serre_matrix(x._form[1], "degenerate pairing")
+
+
+def _serre_is_twist(x: VarietyDesc) -> bool:
+    # G T = n! G^T in integers, T = n! (-1)^n e^(-index H) on {1, H, ..., H^n}:
+    # serre_numeric is the twist that classify_class and tilt read
+    n, g, f = x.dim, x._form[1], factorial(x.dim)
+    t_cols = [[(-1) ** n * f // factorial(i - j) * (-x.index) ** (i - j)
+               if i >= j else 0 for i in range(n + 1)] for j in range(n + 1)]
+    return all(_dot(g_row, t_col) == f * g_ba
+               for g_row, g_col in zip(g, zip(*g))
+               for t_col, g_ba in zip(t_cols, g_col))
 
 
 def _lattice_coords(x: VarietyDesc, v: ChernVector) -> list[int] | None:

@@ -29,6 +29,27 @@ def hilbert_p4(k: int) -> Fraction:
     return binom(k + 4, 4)
 
 
+# -- number spellings ----------------------------------------------------------
+
+# text -> (its value as an integer flag or twist, its value as a rational
+# flag or config todd string), None where the reader refuses it.  int() and
+# Fraction() alone read "1_0" as 10 and " 1" and "\u0661" (Arabic-Indic one)
+# as 1, Fraction() reads "1.5" and "1e0", and "1/0" and "0/00" divide by zero.
+SPELLINGS = {
+    "1": (1, Fraction(1)),
+    "+3": (3, Fraction(3)),
+    "-1/2": (None, Fraction(-1, 2)),
+    "1_0": (None, None),
+    " 1": (None, None),
+    "\u0661": (None, None),
+    "1.5": (None, None),
+    "1e0": (None, None),
+    "1/0": (None, None),
+    "0/00": (None, None),
+    "9" * 5000: (None, None),       # past the integer digit limit
+}
+
+
 # -- truncated power series over Q -------------------------------------------
 
 

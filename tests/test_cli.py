@@ -17,8 +17,12 @@ from kustab.svg import _TICK_BUDGET, render_walls_svg
 from kustab.variety import ChernVector, get_preset
 from kustab.walls import _SCAN_BUDGET, WallCircle
 
+from oracles import SPELLINGS
+
 Q3 = get_preset("q3")
 P4 = get_preset("p4")
+REFUSED_INTEGERS = [text for text, (k, _) in SPELLINGS.items() if k is None]
+REFUSED_RATIONALS = [text for text, (_, q) in SPELLINGS.items() if q is None]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -343,7 +347,7 @@ def test_config_shapes_exit_three(tmp_path, capsys):
              "config field todd must hold rationals"),
             *(({"varieties": [dict(rec, todd=[one, "3/2", "13/12", "1/2"])]},
                "config field todd must hold rationals")
-              for one in ("١", "1_0", " 1", "1.5")),
+              for one in REFUSED_RATIONALS),
             ({"varieties": [dict(rec, todd=5)]},
              "config field todd must be a list"),
             ({"varieties": [dict(rec, denoms=7)]},
@@ -370,10 +374,14 @@ _RECORD = {"name": "X", "dim": 3, "degree": 2, "index": 3,
      "todd and denoms must have length dim + 1"),
     ({"varieties": [dict(_RECORD, denoms=[1, 1, 0, 12])]}, (),
      "denominators must be positive"),
+    # t_2 = 1 puts 19/4 in serre's corner, not the twist's 9/2
+    ({"varieties": [dict(_RECORD, name="Z", todd=["1", "3/2", "1", "1/2"])]},
+     ("serre", "--variety", "z"),
+     "config variety Z: todd and index break Serre duality"),
     (None, ("ztilt", "S", "--alpha", "0", "--beta", "0"),
      "alpha must be positive"),
 ], ids=["missing-field", "duplicate-name", "unknown-default", "degree",
-        "todd-length", "denominator", "alpha"])
+        "todd-length", "denominator", "serre-duality", "alpha"])
 def test_reachable_domain_errors_exit_three(doc, argv, message, tmp_path, capsys):
     # each of these errors is one line on stderr and exit 3
     argv = list(argv or ("chi", "O", "O"))
@@ -413,11 +421,10 @@ def test_svg_past_the_digit_limit_exits_three(tmp_path):
 
 
 def test_twist_takes_a_sign_and_ascii_digits_only(capsys):
-    # int() alone reads "1_0" as 10 and "\u0661" (Arabic-Indic one) and " 1" as 1
-    for token in ("O(1_0)", "O(\u0661)", "O( 1)"):
+    for token in (f"O({text})" for text in REFUSED_INTEGERS):
         code, out, err = invoke_err(capsys, "chi", "--variety", "q3", "O", token)
         assert (code, out, err) == (
-            2, "", f"usage error: malformed twist in {token!r}\n"), token
+            2, "", f"usage error: malformed twist in {token!r}\n"), token[:8]
     for token, chi in (("O(1)", "5"), ("O(+1)", "5"), ("O(-1)", "0")):
         code, out = invoke(capsys, "chi", "--variety", "q3", "O", token)
         assert code == 0 and f"chi: {chi}\n" in out, token
@@ -436,20 +443,17 @@ def test_config_that_is_not_utf8_exits_two(tmp_path):
 
 
 def test_rational_flags_take_the_twist_integer_grammar(capsys):
-    # Fraction() alone reads "1_0" as 10, "\u0661" (Arabic-Indic one) and
-    # " 1" as 1, and "0.5" as 1/2
-    for text in ("1_0", "\u0661", " 1", "0.5"):
+    for text in REFUSED_RATIONALS:
         code, out, err = invoke_err(capsys, "ztilt", "--variety", "q3", "S",
                                     "--alpha", text, "--beta", "0")
-        assert (code, out) == (2, ""), text
-        assert err.endswith(f"invalid rational value: {text!r}\n"), text
-        assert err.count("\n") == 1
+        assert (code, out) == (2, ""), text[:8]
+        assert err == ("usage error: argument --alpha: invalid rational "
+                       f"value: {text!r}\n"), text[:8]
     for text, beta in (("-1/2", "-1/2"), ("+3", "3"), ("06/4", "3/2")):
         code, out = invoke(capsys, "ztilt", "--variety", "q3", "S",
                            "--alpha", "1", "--beta", text)
         assert code == 0 and f"beta: {beta}\n" in out, text
-    # --shift takes the integer alone: int() also reads "0_1" and "\u0661" as 1
-    for text in ("0_1", "\u0661", " 1", "1/1", "9" * 5000):
+    for text in REFUSED_INTEGERS:
         code, out, err = invoke_err(capsys, "heart", "--variety", "q3", "S",
                                     "--alpha", "1/4", "--beta", "-1/2",
                                     "--shift", text)

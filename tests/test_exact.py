@@ -10,12 +10,12 @@ from operator import mul
 import pytest
 
 from kustab.exact import (DomainError, QuadNumber, RatMatrix, _cleared,
-                          _solve, hnf_rows, int_kernel)
+                          _solve, hnf_rows, int_kernel, integer, rational)
 from kustab.svg import _sqrt_trunc
 from kustab.tilt import AlphaInterval
 
-from oracles import (floor_a_plus_b_sqrt, row_reduce_rank, solve_square,
-                     sign_a_plus_b_sqrt, sqrt_interval)
+from oracles import (SPELLINGS, floor_a_plus_b_sqrt, row_reduce_rank,
+                     solve_square, sign_a_plus_b_sqrt, sqrt_interval)
 
 # the 3 x 4 orthogonality system: rows ch(O), ch(O(1)), ch(O(2)) against the
 # degree-normalized pairing matrix of the quadric threefold
@@ -485,3 +485,15 @@ def test_lattice_routines_without_sympy():
                 b[i] = [-x for x in b[i]]
         assert hnf_rows(b) == h, (a, b)
     assert boxed >= 500, boxed
+
+
+def test_integer_and_rational_read_one_spelling_table():
+    # argparse words a ValueError of a type= reader as "invalid <name> value"
+    for text, wants in SPELLINGS.items():
+        for reader, want in zip((integer, rational), wants):
+            if want is None:
+                with pytest.raises(ValueError):
+                    reader(text)
+            else:
+                got = reader(text)
+                assert got == want and type(got) is type(want), text

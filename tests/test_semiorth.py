@@ -603,3 +603,83 @@ def test_classify_class_makes_one_solve(monkeypatch):
     with pytest.raises(DomainError, match="^degenerate collection pairing$"):
         classify_class(Q3, dup, SPINOR_CLASS)
     assert calls == [2, "degenerate collection pairing"]
+
+
+# Literature negative controls (ROADMAP item 5), each read through
+# config.variety_from_dict, so each is also a genuine variety that passes its
+# Serre-duality check.  A fake projective plane has H^2 = 1, K = 3H and
+# chi(O) = 1; on some of them <O, O(-1), O(-2)> is exceptional and not full,
+# its residual a phantom (arXiv:1305.4549), which numerics cannot see.
+FAKE_P2 = variety_from_dict({"name": "fake", "dim": 2, "degree": 1,
+                             "index": -3, "todd": ["1", "-3/2", "1"],
+                             "denoms": [1, 1, 2]})
+K3 = variety_from_dict({"name": "K3", "dim": 2, "degree": 2, "index": 0,
+                        "todd": ["1", "0", "1"], "denoms": [1, 1, 2]})
+QUINTIC = variety_from_dict({"name": "quintic", "dim": 3, "degree": 5,
+                             "index": 0, "todd": ["1", "0", "5/6", "0"],
+                             "denoms": [1, 1, 2, 6]})
+FAKE_MEMBERS = tuple(line_bundle_class(FAKE_P2, k) for k in (0, -1, -2))
+
+
+def test_fake_projective_plane_fullness_claims_no_more_than_numerics():
+    c = Collection(variety=FAKE_P2, members=FAKE_MEMBERS)
+    assert is_numerically_exceptional(c)
+    assert right_orthogonal(FAKE_P2, c) == []
+    for premise in (False, True):
+        verdict = fullness_report(FAKE_P2, c, [], premise)
+        assert verdict.residual_rank == 0
+        assert verdict.verdict != "full-modulo-phantoms-excluded", premise
+
+
+def test_fake_projective_plane_places_no_member_at_any_beta():
+    # index -3, so the Serre image of O(k) is O(k + 3)[1].  With d = k - beta,
+    # O(k) lies in the heart at shift 0 iff d > 0 and its tilt slope
+    # (d^2 - alpha^2) / 2d > 0, i.e. iff alpha < d.  With e = d + 3,
+    # O(k + 3)[1] lies in it iff e <= 0 (then also alpha > -e, or e = 0), or
+    # e > 0 and alpha >= e.  Both at once need d > 0, so e > 0 and
+    # alpha >= d + 3 > alpha: for every beta no alpha places a member and its
+    # Serre image, so blms fails and alpha_range is empty
+    alphas = [Fraction(a, 4) for a in (1, 2, 4, 7, 11, 12, 13, 20, 40)]
+    betas = [Fraction(b, 4) for b in range(-40, 13)]
+    for k, member in zip((0, -1, -2), FAKE_MEMBERS):
+        image = line_bundle_class(FAKE_P2, k + 3)
+        assert tilt._placements(FAKE_P2, [member]) == [(k, 0), (k + 3, 1)]
+        for beta in betas:
+            d, e = k - beta, k + 3 - beta
+            for alpha in alphas:
+                p = tilt.TiltParams(alpha, beta)
+                assert tilt.heart_case(FAKE_P2, member, 0, p).in_heart == (
+                    d > 0 and alpha < d), (k, beta, alpha)
+                assert tilt.heart_case(FAKE_P2, image, 1, p).in_heart == (
+                    e == 0 or (e < 0 and alpha > -e) or (e > 0 and alpha >= e))
+                assert not tilt.blms_check(FAKE_P2, [member], p).passed
+    for beta in betas:
+        assert tilt.alpha_range(FAKE_P2, FAKE_MEMBERS, beta) == []
+        assert not tilt.blms_check(FAKE_P2, FAKE_MEMBERS,
+                                   tilt.TiltParams(Fraction(1, 2), beta)).passed
+
+
+def test_k3_and_quintic_line_bundles_are_not_exceptional():
+    # O is spherical on a K3 surface, chi(O, O) = 2 (math/0001043), and
+    # chi(O, O) = 0 on the quintic threefold
+    for x, chi in ((K3, 2), (QUINTIC, 0)):
+        o = line_bundle_class(x, 0)
+        assert euler_pairing(x, o, o) == chi
+        assert not is_numerically_exceptional(Collection(variety=x, members=(o,)))
+
+
+def test_right_orthogonal_commutes_with_twist():
+    # on every preset the residual lattice of O(a + 1), ..., O(a + m) is the
+    # twist by O(1) of that of O(a), ..., O(a + m - 1)
+    for x in (Q3, P4, Y4, Y2):
+        for a in range(-2, 3):
+            for m in range(1, x.index + 1):
+                c = Collection(variety=x, members=tuple(
+                    line_bundle_class(x, k) for k in range(a, a + m)))
+                twisted = Collection(variety=x, members=tuple(
+                    exp_twist(v, 1) for v in c.members))
+                moved = [box_coords(x.denoms, exp_twist(b, 1))
+                         for b in right_orthogonal(x, c)]
+                assert None not in moved, (x.name, a, m)
+                assert hnf_rows(moved) == [box_coords(x.denoms, b) for b in
+                                           right_orthogonal(x, twisted)]

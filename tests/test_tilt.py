@@ -12,7 +12,6 @@ import pytest
 from kustab import tilt
 from kustab.exact import DomainError, QuadNumber
 from kustab.config import variety_from_dict
-from kustab.semiorth import Collection
 from kustab.tilt import (TiltParams, _zero_charge_pairing, alpha_range,
                          blms_check, charge_h, charge_tilt, heart_case,
                          slope_h, slope_tilt)
@@ -382,13 +381,32 @@ def test_alpha_range_q3():
     assert iv.hi == Fraction(1, 2) and iv.hi_open
 
 
-def test_blms_check_and_alpha_range_take_a_collection():
-    # a Collection is read as its members, as the README passes it
-    for x in (Q3, Y4, X):
-        c = Collection(variety=x, members=members(x))
-        assert blms_check(x, c, STD) == blms_check(x, c.members, STD)
-        for beta in (Fraction(-3, 4), Fraction(-1, 2), Fraction(0)):
-            assert alpha_range(x, c, beta) == alpha_range(x, c.members, beta)
+def test_twisting_a_block_by_o1_shifts_beta_by_one():
+    # tensoring with O(1) carries sigma_(alpha, beta) to sigma_(alpha, beta + 1)
+    # (arXiv:1103.5010): on the threefold presets the checklist and the alpha
+    # range of O(a), ..., O(a + m - 1) at beta are those of the twisted block
+    # at beta + 1
+    rng = random.Random(1103)
+    alphas = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+              Fraction(3, 2)]
+    seen = Counter()
+    for x in (PRESETS["q3"], PRESETS["y4"], PRESETS["y2"]):
+        for a in range(-2, 3):
+            for m in range(1, 4):
+                block = [line_bundle_class(x, k) for k in range(a, a + m)]
+                twisted = [exp_twist(v, 1) for v in block]
+                for _ in range(10):
+                    beta = a + Fraction(rng.randint(-16, 8), rng.choice((2, 3, 4)))
+                    got = alpha_range(x, block, beta)
+                    assert alpha_range(x, twisted, beta + 1) == got, (
+                        x.name, a, m, beta)
+                    seen["range"] += bool(got)
+                    for alpha in alphas:
+                        passed = blms_check(x, block, TiltParams(alpha, beta)).passed
+                        assert blms_check(
+                            x, twisted, TiltParams(alpha, beta + 1)).passed == passed
+                        seen[passed] += 1
+    assert seen[True] and seen[False] and seen["range"], seen
 
 
 def test_readme_library_snippet():

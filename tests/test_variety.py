@@ -11,7 +11,8 @@ import pytest
 from kustab.config import variety_from_dict
 from kustab.exact import DomainError, RatMatrix
 from kustab.variety import (ChernVector, SPINOR_CLASS, VarietyDesc,
-                            _lattice_coords, euler_pairing, exp_twist,
+                            _lattice_coords, _serre_is_twist, euler_pairing,
+                            exp_twist,
                             from_lattice_coords, get_preset, gram_matrix,
                             line_bundle_class, serre_numeric)
 
@@ -360,6 +361,50 @@ def test_descriptor_warnings_for_inconsistent_data():
         VarietyDesc(name="odd", dim=2, degree=1,
                     todd=(Fraction(1), Fraction(1), Fraction(1, 3)),
                     denoms=(1, 1, 1), index=3)
+
+
+def _fano_threefold(name, index, degree):
+    # Picard rank one: chi(O) = c1 c2 / 24 = 1 and c1 = index H give
+    # c2 = 24 / (index degree) H^2, so td = 1 + c1/2 + (c1^2 + c2)/12 + 1/degree
+    t2 = (index ** 2 + Fraction(24, index * degree)) / 12
+    return VarietyDesc(name=name, dim=3, degree=degree, index=index,
+                       todd=(1, Fraction(index, 2), t2, Fraction(1, degree)),
+                       denoms=(1, 1, 2, 12))
+
+
+def test_serre_matrix_is_the_twist_on_genuine_varieties_only():
+    # G T = n! G^T with T = n! (-1)^n e^(-index H) holds for P1, P2, the del
+    # Pezzo threefolds Y1..Y5, the index-one threefolds X2..X22, a fake
+    # projective plane, a K3 surface and the quintic threefold
+    genuine = [*PRESET_LIST,
+               VarietyDesc(name="P1", dim=1, degree=1, index=2, todd=(1, 1),
+                           denoms=(1, 1)),
+               VarietyDesc(name="P2", dim=2, degree=1, index=3,
+                           todd=(1, Fraction(3, 2), 1), denoms=(1, 1, 2)),
+               VarietyDesc(name="fake", dim=2, degree=1, index=-3,
+                           todd=(1, Fraction(-3, 2), 1), denoms=(1, 1, 2)),
+               VarietyDesc(name="K3", dim=2, degree=2, index=0, todd=(1, 0, 1),
+                           denoms=(1, 1, 2)),
+               VarietyDesc(name="quintic", dim=3, degree=5, index=0,
+                           todd=(1, 0, Fraction(5, 6), 0), denoms=(1, 1, 2, 6)),
+               *(_fano_threefold(f"Y{d}", 2, d) for d in range(1, 6)),
+               *(_fano_threefold(f"X{d}", 1, d)
+                 for d in (2, 4, 6, 8, 10, 12, 14, 16, 18, 22))]
+    for x in (Q3, Y4, Y2):      # the formula gives the presets' Todd classes
+        assert _fano_threefold(x.name, x.index, x.degree).todd == x.todd
+    assert all(_serre_is_twist(x) for x in genuine)
+    # Z: Q3's data with t_2 = 1, the Serre matrix's corner reads 19/4, not 9/2;
+    # and t_0 = 1 with 2 t_1 != index
+    z = VarietyDesc(name="Z", dim=3, degree=2, index=3,
+                    todd=(1, Fraction(3, 2), 1, Fraction(1, 2)),
+                    denoms=(1, 1, 2, 12))
+    assert serre_numeric(z)[3, 0] == Fraction(19, 4)
+    broken = [z]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        broken += [dataclasses.replace(x, index=x.index + shift)
+                   for x in genuine for shift in (-1, 1)]
+    assert not any(_serre_is_twist(x) for x in broken)
 
 
 def test_wrong_arity_rejected():

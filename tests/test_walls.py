@@ -599,6 +599,27 @@ def test_wall_scan_twist_equivariance():
                 assert (w.center_beta - k, w.radius_sq) in back_keys
 
 
+def test_nowall_certificate_commutes_with_twist():
+    # twisting by O(1) moves beta_0 by one and keeps the certificate: its
+    # step, bound and conclusion, or its absence, on every preset
+    rng = random.Random(5205)
+    outcomes = Counter()
+    for x in PRESETS.values():
+        for _ in range(60):
+            v = ChernVector([Fraction(rng.randint(lo, 6), lam) for lo, lam
+                             in zip((0, -6, -6), x.denoms)])
+            try:
+                cert = nowall_certificate(x, v)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{exc}$"):
+                    nowall_certificate(x, exp_twist(v, 1))
+                outcomes["error"] += 1
+                continue
+            assert nowall_certificate(x, exp_twist(v, 1)) == cert, (x.name, v)
+            outcomes[cert is None] += 1
+    assert min(outcomes[True], outcomes[False], outcomes["error"]) > 0, outcomes
+
+
 def test_certificate_soundness():
     # certificate present implies empty scans for every bound up to (10, 10)
     for v in (SPINOR_TRUNC, ChernVector([1, -1, 0])):
